@@ -15,17 +15,17 @@ import math
 import os
 import tempfile
 import time as _time
+import traceback
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import envelope as env_mod
-from .envelope import (EnvelopeState, TauEnvelope, chevron_state, first_integral_residual,
-                       integrate_r, integrate_tau, tau_difference_bound, time_change_s)
+from .envelope import (first_integral_residual, integrate_r, integrate_tau,
+                       tau_difference_bound, time_change_s)
 from .errors import EnvelopeError, GridError, NlsLabError, VerificationError
 from .grid import Model, WaveField, gaussian_state, l2_distance, make_grid, mass
 from .metrics import gaussian_gamma, w1_1d, w1_1d_dilated
-from .propagators import StepPlan, evolve, step_lens
+from .propagators import StepPlan, _coefficients, _envelope, _march, _step_sizes, evolve
 from .rescaling import (PROFILE_DILATION, density_from_field,
                         direct_gradient_norm_sq, pseudo_energy)
 from .scattering import (extract_asymptotic, free_conjugate, interaction_picture_continuity,
@@ -238,26 +238,18 @@ def _lens_schedule_dt(t: float, dt0: float, dt_cap: float = 0.25) -> float:
 
 def _lens_trajectory(start: WaveField, targets, dt0: float, dt_cap: float = 0.25):
     """March a lens-model field through increasing checkpoint times."""
-    env_src = None
-    if start.model is Model.RESCALED_LENS:
-        env_src = TauEnvelope(start.sigma, start.grid.dim)
-
-    def env_at(t):
-        if env_src is not None:
-            return env_src.state(t)
-        return chevron_state(t, start.sigma, start.grid.dim)
-
-    current = start
+    env_at = _envelope(start)
+    plan = StepPlan(dt0)
+    coefficients = _coefficients(start.model, start.sigma, start.grid, plan, env_at)
+    values, t, out = start.values, start.time, []
     mass0 = mass(start)
-    out = []
     for target in targets:
-        while current.time < target - 1e-12:
-            dt = min(_lens_schedule_dt(current.time, dt0, dt_cap),
-                     target - current.time)
-            current = step_lens(current, StepPlan(dt), env_at(current.time))
+        steps = _step_sizes(t, target, lambda s: _lens_schedule_dt(s, dt0, dt_cap), 1e-12)
+        values, t = _march(values, start.grid, t, steps, coefficients, plan.scheme)
+        current = start.with_values(values, time=t)
         if abs(mass(current) - mass0) > 1e-7 * mass0:
             raise EnvelopeError(f"lens run lost mass at t = {current.time:g}")
-        out.append((current, env_at(current.time)))
+        out.append((current, env_at(t)))
     return out
 
 
@@ -733,11 +725,12 @@ def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
             csv_paths={k: os.path.basename(v) for k, v in csv_paths.items()},
             csv_hashes={k: _file_sha256(v) for k, v in csv_paths.items()},
             verdicts=verdicts)
-    except NlsLabError as exc:
+    except Exception as exc:  # any failure replaces an earlier run's record
+        error = str(exc) if isinstance(exc, NlsLabError) else traceback.format_exc()
         record = RunRecord(
             config=json.loads(config.to_json()), config_hash=config.digest,
             code_version=CODE_VERSION, started=started, finished=_now(),
-            status="failed", stage=type(exc).__name__, error=str(exc),
+            status="failed", stage=type(exc).__name__, error=error,
             csv_paths={}, csv_hashes={}, verdicts=[])
     _atomic_write(record_path, record.to_json().encode())
     return record

@@ -8,6 +8,7 @@ interval midpoint, which preserves second order.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,84 +51,13 @@ def power_ratio(rho: np.ndarray, sigma: float) -> np.ndarray:
     return np.expm1(sigma * logr) / sigma
 
 
-def _nonlinear_phase(rho: np.ndarray, sigma: float, model: Model,
-                     log_floor: float) -> np.ndarray:
+def _phase(model: Model, sigma: float, log_floor: float):
+    """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model."""
     if model is Model.DIRECT or model is Model.DIRECT_LENS:
-        return rho**sigma
-    if model is Model.LOG:
-        return np.log(rho + log_floor)
-    if sigma == 0.0:  # rescaled family degenerates to the log branch
-        return np.log(rho + log_floor)
-    return power_ratio(rho, sigma)
-
-
-def _split_step(values: np.ndarray, grid, dt: float, phase_fn, kin_coeff: float,
-                scheme: str) -> np.ndarray:
-    """One split step; phase_fn maps rho to the real potential."""
-    def kinetic(v, w):
-        return grid.ifft(grid.fft(v) * np.exp((-0.5j * w * kin_coeff) * grid.k_sq))
-
-    if scheme == "lie":
-        v = kinetic(values, dt)
-        return v * np.exp(-1j * dt * phase_fn(np.abs(v) ** 2))
-    v = kinetic(values, 0.5 * dt)
-    v = v * np.exp(-1j * dt * phase_fn(np.abs(v) ** 2))
-    return kinetic(v, 0.5 * dt)
-
-
-def _checked(field: WaveField, values: np.ndarray, new_time: float) -> WaveField:
-    s = values.sum()
-    if not (np.isfinite(s.real) and np.isfinite(s.imag)):
-        raise BlowUpError("NaN/Inf after step", time=new_time)
-    return field.with_values(values, time=new_time)
-
-
-def step_direct(field: WaveField, plan: StepPlan, sigma: float | None = None) -> WaveField:
-    """One step of i u_t + (1/2) Lap u = |u|^{2 sigma} u."""
-    sigma = field.sigma if sigma is None else sigma
-    if field.model is not Model.DIRECT:
-        raise GridError(f"step_direct needs a Direct-model field, got {field.model}")
-    if not sigma > 0:
-        raise GridError(f"direct model needs sigma > 0, got {sigma}")
-    if field.grid.dim > 2 and sigma >= 2.0 / (field.grid.dim - 2):
-        raise GridError("energy-supercritical sigma")
-    out = _split_step(field.values, field.grid, plan.dt,
-                      lambda rho: _nonlinear_phase(rho, sigma, Model.DIRECT, plan.log_floor),
-                      1.0, plan.scheme)
-    return _checked(field, out, field.time + plan.dt)
-
-
-def step_rescaled(field: WaveField, plan: StepPlan, sigma: float | None = None) -> WaveField:
-    """One step with nonlinear phase (|u|^{2 sigma} - 1)/sigma; sigma = 0 is rejected."""
-    sigma = field.sigma if sigma is None else sigma
-    if field.model is not Model.RESCALED:
-        raise GridError(f"step_rescaled needs a Rescaled-model field, got {field.model}")
-    if not sigma > 0:
-        raise GridError("sigma = 0: use step_log for the logarithmic model")
-    out = _split_step(field.values, field.grid, plan.dt,
-                      lambda rho: power_ratio(rho, sigma), 1.0, plan.scheme)
-    return _checked(field, out, field.time + plan.dt)
-
-
-def step_log(field: WaveField, plan: StepPlan) -> WaveField:
-    """One step of the logarithmic model, phase ln(|u|^2 + eps_reg)."""
-    if field.model is not Model.LOG:
-        raise GridError(f"step_log needs a Log-model field, got {field.model}")
-    out = _split_step(field.values, field.grid, plan.dt,
-                      lambda rho: np.log(rho + plan.log_floor), 1.0, plan.scheme)
-    return _checked(field, out, field.time + plan.dt)
-
-
-def _lens_coefficients(model: Model, sigma: float, dim: int, env_mid: EnvelopeState):
-    """(kinetic coefficient, harmonic coefficient, nonlinear coefficient) at midpoint."""
-    tau = env_mid.tau
-    if tau <= 0:
-        raise EnvelopeError(f"envelope tau must be positive, got {tau}")
-    a = dim * sigma
-    if model is Model.RESCALED_LENS:
-        return 1.0 / tau**2, 0.25 * tau ** (-a), tau ** (-a)
-    # direct-lens: i v_t + Lap v/(2<t>^2) = |y|^2 v/(2<t>^2) + <t>^{-d sigma} |v|^{2s} v
-    return 1.0 / tau**2, 0.5 / tau**2, tau ** (-a)
+        return lambda rho: rho**sigma
+    if model is Model.LOG or sigma == 0.0:  # rescaled family degenerates to the log branch
+        return lambda rho: np.log(rho + log_floor)
+    return lambda rho: power_ratio(rho, sigma)
 
 
 def _advance_env(env: EnvelopeState, dt: float) -> EnvelopeState:
@@ -149,27 +79,129 @@ def _advance_env(env: EnvelopeState, dt: float) -> EnvelopeState:
     return EnvelopeState(t=t, tau=y, tau_dot=v, sigma=env.sigma, dim=env.dim)
 
 
+def _coefficients(model: Model, sigma: float, grid, plan: StepPlan, env_at=None):
+    """(t, dt) -> (kinetic weight, potential rho -> V) for one step of `model`.
+    Lens models freeze both at the step midpoint; env_at(t) is their envelope."""
+    if model in (Model.DIRECT, Model.RESCALED) and not sigma > 0:
+        raise GridError(f"{model.value} model needs sigma > 0 (sigma = 0 is the log "
+                        f"model), got {sigma}")
+    phase = _phase(model, sigma, plan.log_floor)
+    if model not in (Model.RESCALED_LENS, Model.DIRECT_LENS):
+        return lambda t, dt: (1.0, phase)
+    r2, a = grid.radius_sq, grid.dim * sigma
+
+    def lens(t, dt):
+        env = env_at(t)
+        if env.tau <= 0:
+            raise EnvelopeError(f"envelope tau must be positive, got {env.tau}")
+        if abs(env.t - t) > 1e-9 * max(1.0, abs(t)):
+            raise EnvelopeError(f"envelope time {env.t} inconsistent with field time {t}")
+        if model is Model.DIRECT_LENS:
+            env = chevron_state(t + 0.5 * dt, sigma, grid.dim)
+        elif plan.potential_midpoint:
+            env = _advance_env(env, 0.5 * dt)
+            if env.tau <= 0:
+                raise EnvelopeError(f"envelope tau must be positive, got {env.tau}")
+        tau, nl = env.tau, env.tau ** (-a)
+        # direct-lens: i v_t + Lap v/(2<t>^2) = |y|^2 v/(2<t>^2) + <t>^{-d sigma} |v|^{2s} v
+        harm = 0.25 * nl if model is Model.RESCALED_LENS else 0.5 / tau**2
+        return 1.0 / tau**2, lambda rho: harm * r2 + nl * phase(rho)
+    return lens
+
+
+def _envelope(field: WaveField, envelope: TauEnvelope | None = None):
+    """t -> EnvelopeState of a lens-model field; None for the autonomous models."""
+    if field.model is Model.DIRECT_LENS:
+        return lambda t: chevron_state(t, field.sigma, field.grid.dim)
+    if field.model is not Model.RESCALED_LENS:
+        return None
+    if envelope is None:
+        if field.time != 0.0:
+            raise EnvelopeError("restarting a rescaled-lens run needs its TauEnvelope")
+        envelope = TauEnvelope(field.sigma, field.grid.dim)
+    return envelope.state
+
+
+def _step_sizes(t: float, t_end: float, dt_of, tol: float, t_stop: float = math.inf):
+    """Steps dt_of(t) from t to t_end, the last trimmed; ends early on reaching t_stop."""
+    while t < t_end - tol:
+        dt = min(dt_of(t), t_end - t)
+        yield dt
+        t += dt
+        if t >= t_stop - 1e-12:
+            return
+
+
+def _march(values: np.ndarray, grid, t: float, steps, coefficients, scheme: str):
+    """Split-step `values` from time t through `steps`; returns (values, t) at the end.
+
+    coefficients(t, dt) gives a step's kinetic weight kappa and potential.
+    Lie kicks by kappa dt, then applies the phase.  Strang's adjacent half
+    kicks commute, so each pair is applied as one multiplier: two FFTs per
+    step, with the full state formed only at the segment end.
+    """
+    # fixed dt repeats a few weights; lens weights never repeat, so keep few
+    multiplier = functools.lru_cache(maxsize=4)(lambda w: np.exp(-0.5j * w * grid.k_sq))
+
+    def kick(v, w):
+        vhat = grid.fft(v)
+        vhat *= multiplier(w)
+        return grid.ifft(vhat)
+
+    strang = scheme == "strang"
+    pending = 0.0   # Strang half kick owed by the previous step
+    for dt in steps:
+        kappa, potential = coefficients(t, dt)
+        if strang:
+            half = 0.5 * kappa * dt
+            values = kick(values, pending + half)
+            pending = half
+        else:
+            values = kick(values, kappa * dt)
+        theta = dt * potential(np.abs(values) ** 2)
+        # e^{-i theta}: cos and sin cost less than exp of an imaginary array
+        values = values * (np.cos(theta) - 1j * np.sin(theta))
+        t += dt
+        if not np.isfinite(values.sum()):
+            raise BlowUpError("NaN/Inf after step", time=t)
+    if pending:
+        values = kick(values, pending)
+    return values, t
+
+
+def _one_step(field: WaveField, plan: StepPlan, sigma: float, env_at=None) -> WaveField:
+    coefficients = _coefficients(field.model, sigma, field.grid, plan, env_at)
+    values, t = _march(field.values, field.grid, field.time, (plan.dt,), coefficients,
+                       plan.scheme)
+    return field.with_values(values, time=t)
+
+
+def step_direct(field: WaveField, plan: StepPlan, sigma: float | None = None) -> WaveField:
+    """One step of i u_t + (1/2) Lap u = |u|^{2 sigma} u."""
+    if field.model is not Model.DIRECT:
+        raise GridError(f"step_direct needs a Direct-model field, got {field.model}")
+    return _one_step(field, plan, field.sigma if sigma is None else sigma)
+
+
+def step_rescaled(field: WaveField, plan: StepPlan, sigma: float | None = None) -> WaveField:
+    """One step with nonlinear phase (|u|^{2 sigma} - 1)/sigma; sigma = 0 is rejected."""
+    if field.model is not Model.RESCALED:
+        raise GridError(f"step_rescaled needs a Rescaled-model field, got {field.model}")
+    return _one_step(field, plan, field.sigma if sigma is None else sigma)
+
+
+def step_log(field: WaveField, plan: StepPlan) -> WaveField:
+    """One step of the logarithmic model, phase ln(|u|^2 + eps_reg)."""
+    if field.model is not Model.LOG:
+        raise GridError(f"step_log needs a Log-model field, got {field.model}")
+    return _one_step(field, plan, field.sigma)
+
+
 def step_lens(field: WaveField, plan: StepPlan, env: EnvelopeState) -> WaveField:
     """One step of a lens-transformed model with midpoint-frozen coefficients."""
     if field.model not in (Model.RESCALED_LENS, Model.DIRECT_LENS):
         raise GridError(f"step_lens needs a lens-model field, got {field.model}")
-    if env.tau <= 0:
-        raise EnvelopeError(f"envelope tau must be positive, got {env.tau}")
-    if abs(env.t - field.time) > 1e-9 * max(1.0, abs(field.time)):
-        raise EnvelopeError(f"envelope time {env.t} inconsistent with field time {field.time}")
-    if field.model is Model.DIRECT_LENS:
-        env_mid = chevron_state(field.time + 0.5 * plan.dt, field.sigma, field.grid.dim)
-    else:
-        env_mid = _advance_env(env, 0.5 * plan.dt) if plan.potential_midpoint else env
-    kin, harm, nl = _lens_coefficients(field.model, field.sigma, field.grid.dim, env_mid)
-    r2 = field.grid.radius_sq
-    sigma, model, floor = field.sigma, field.model, plan.log_floor
-
-    def phase(rho):
-        return harm * r2 + nl * _nonlinear_phase(rho, sigma, model, floor)
-
-    out = _split_step(field.values, field.grid, plan.dt, phase, kin, plan.scheme)
-    return _checked(field, out, field.time + plan.dt)
+    return _one_step(field, plan, field.sigma, lambda t: env)
 
 
 def free_flow(field: WaveField, dt: float) -> WaveField:
@@ -195,8 +227,7 @@ def conservation_row(field: WaveField, envelope: EnvelopeState | None = None) ->
 
 
 def evolve(field: WaveField, plan: StepPlan, t_end: float, observers=(),
-           observe_dt: float | None = None, envelope: TauEnvelope | None = None,
-           per_step_hook=None):
+           observe_dt: float | None = None, envelope: TauEnvelope | None = None):
     """Repeatedly step to t_end (trimmed last step lands exactly).
 
     Returns (final field, list of conservation rows).  Observers are
@@ -206,57 +237,32 @@ def evolve(field: WaveField, plan: StepPlan, t_end: float, observers=(),
     """
     if t_end < field.time:
         raise GridError(f"t_end {t_end} before field time {field.time}")
-    lens = field.model in (Model.RESCALED_LENS, Model.DIRECT_LENS)
-    env_src = None
-    if field.model is Model.RESCALED_LENS:
-        env_src = envelope
-        if env_src is None:
-            if field.time != 0.0:
-                raise EnvelopeError("restarting a rescaled-lens run needs its TauEnvelope")
-            env_src = TauEnvelope(field.sigma, field.grid.dim)
-
-    def env_at(t):
-        if field.model is Model.DIRECT_LENS:
-            return chevron_state(t, field.sigma, field.grid.dim)
-        return env_src.state(t)
+    env_at = _envelope(field, envelope)
 
     def observe(f):
-        row = conservation_row(f, env_at(f.time) if lens else None)
+        row = conservation_row(f, env_at(f.time) if env_at else None)
         log.append(row)
         for obs in observers:
             obs(f)
-        return row
+        if abs(row["mass"] - mass0) > MASS_DRIFT_TRIP * mass0:
+            raise BlowUpError(f"mass drift tripwire at t = {f.time:.6g}", time=f.time)
 
     log: list[dict] = []
     if t_end == field.time:
         return field, log
 
+    coefficients = _coefficients(field.model, field.sigma, field.grid, plan, env_at)
     mass0 = mass(field)
     observe(field)
     next_obs = field.time + observe_dt if observe_dt else math.inf
-    current = field
-    while current.time < t_end - 1e-12 * max(1.0, abs(t_end)):
-        dt = min(plan.dt, t_end - current.time)
-        local = plan if dt == plan.dt else StepPlan(dt, plan.scheme, plan.log_floor,
-                                                   plan.potential_midpoint)
-        if lens:
-            current = step_lens(current, local, env_at(current.time))
-        elif field.model is Model.DIRECT:
-            current = step_direct(current, local)
-        elif field.model is Model.RESCALED:
-            current = step_rescaled(current, local)
-        else:
-            current = step_log(current, local)
-        if per_step_hook is not None:
-            per_step_hook(current)
-        if current.time >= next_obs - 1e-12:
-            row = observe(current)
+    tol = 1e-12 * max(1.0, abs(t_end))
+    current, values, t = field, field.values, field.time
+    while t < t_end - tol:
+        steps = _step_sizes(t, t_end, lambda _: plan.dt, tol, next_obs)
+        values, t = _march(values, field.grid, t, steps, coefficients, plan.scheme)
+        current = field.with_values(values, time=t)
+        if t >= next_obs - 1e-12:
+            observe(current)
             next_obs += observe_dt
-            if abs(row["mass"] - mass0) > MASS_DRIFT_TRIP * mass0:
-                raise BlowUpError(
-                    f"mass drift tripwire at t = {current.time:.6g}", time=current.time)
-    row = observe(current)
-    if abs(row["mass"] - mass0) > MASS_DRIFT_TRIP * mass0:
-        raise BlowUpError(f"mass drift tripwire at t = {current.time:.6g}",
-                          time=current.time)
+    observe(current)
     return current, log

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from nlslab import (ExperimentConfig, EXPERIMENT_NAMES, GridError,
+from nlslab import (ExperimentConfig, EXPERIMENT_NAMES, GridError, RunRecord,
                     VerificationError, default_config, run, sweep, verify)
 from nlslab.cli import main as cli_main
 from nlslab.experiments import format_value, read_csv, write_csv
@@ -147,6 +147,26 @@ def test_verify_reports_failed_run(tmp_path):
     assert record.stage == "GridError"
     summary = verify(out)
     assert not summary["ok"] and summary["status"] == "failed"
+
+
+def test_unexpected_error_replaces_stale_record(tmp_path, monkeypatch):
+    from nlslab import experiments
+    cfg = _tiny_ode_config()
+    out = str(tmp_path)
+    monkeypatch.setitem(experiments._RUNNERS, cfg.name,
+                        lambda c: {"x.csv": (("a",), [(1.0,)])})
+    monkeypatch.setitem(experiments._ANALYZERS, cfg.name,
+                        lambda c, d: [{"check": "stub", "passed": True, "detail": ""}])
+    assert run(cfg, out).passed and verify(out)["ok"]
+
+    def broken(c):
+        raise ValueError("not a package error")
+    monkeypatch.setitem(experiments._RUNNERS, cfg.name, broken)
+    record = run(cfg, out)
+    assert record.status == "failed" and record.stage == "ValueError"
+    stored = RunRecord.load(os.path.join(out, "record.json"))
+    assert stored.status == "failed" and "not a package error" in stored.error
+    assert not verify(out)["ok"]
 
 
 def test_sweep_isolates_failures(tmp_path):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlslab import (EnvelopeState, GridError, Model, StepPlan, evolve,
-                    free_flow, gaussian_state, l2_distance, make_grid, mass,
-                    power_ratio, step_direct, step_lens, step_log,
-                    step_rescaled)
+from nlslab import (BlowUpError, EnvelopeState, GridError, Model, StepPlan,
+                    TauEnvelope, chevron_state, evolve, free_flow, gaussian_state,
+                    l2_distance, make_grid, mass, power_ratio, step_direct,
+                    step_lens, step_log, step_rescaled)
+from nlslab import propagators
 from nlslab.errors import EnvelopeError
+from nlslab.experiments import _lens_schedule_dt, _lens_trajectory
 
 
 def _free_gaussian(grid, a, t):
@@ -257,3 +259,89 @@ def test_evolve_observer_cadence(grid1d):
                     observe_dt=5e-3)
     assert len(log) >= 5           # initial + 4 cadences + final
     assert seen[0] == 0.0
+
+
+# ------------------------------------------------------------- fused core
+
+_MODELS = ((Model.DIRECT, 1.0), (Model.RESCALED, 0.5), (Model.LOG, 0.0),
+           (Model.RESCALED_LENS, 0.3), (Model.DIRECT_LENS, 0.8))
+_LENS = (Model.RESCALED_LENS, Model.DIRECT_LENS)
+
+
+def _chained_steps(phi, dt_of, targets, tol, scheme="strang"):
+    """Reference: one public step_* call per step through the targets.
+
+    Returns the state at each target and every state keyed by its time.
+    """
+    env_src = TauEnvelope(phi.sigma, 1) if phi.model is Model.RESCALED_LENS else None
+    step = {Model.DIRECT: step_direct, Model.RESCALED: step_rescaled,
+            Model.LOG: step_log}.get(phi.model)
+    cur, at_targets, states = phi, [], {}
+    for target in targets:
+        while cur.time < target - tol:
+            plan = StepPlan(min(dt_of(cur.time), target - cur.time), scheme=scheme)
+            if step is not None:
+                cur = step(cur, plan)
+            else:
+                env = (env_src.state(cur.time) if env_src is not None
+                       else chevron_state(cur.time, phi.sigma, 1))
+                cur = step_lens(cur, plan, env)
+            states[cur.time] = cur
+        at_targets.append(cur)
+    return at_targets, states
+
+
+def _rel_l2(a, b):
+    return float(np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values))
+
+
+@pytest.mark.parametrize("observe_dt", [None, 3e-3], ids=["trimmed", "observed"])
+@pytest.mark.parametrize("scheme", ["strang", "lie"])
+@pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
+def test_evolve_matches_chained_steps(grid1d, model, sigma, scheme, observe_dt):
+    # merged Strang half kicks are exact: the fused march equals one
+    # step_* call per step up to roundoff, at a trimmed final step and at
+    # every observation point
+    t_end = 0.0105
+    phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
+    seen = []
+    out, _ = evolve(phi, StepPlan(1e-3, scheme=scheme), t_end, observers=(seen.append,),
+                    observe_dt=observe_dt)
+    (ref,), states = _chained_steps(phi, lambda t: 1e-3, [t_end],
+                                    1e-12 * max(1.0, t_end), scheme)
+    assert out.time == ref.time and _rel_l2(out, ref) <= 1e-12
+    assert len(seen) == (5 if observe_dt else 2)   # start, 3 cadences, t_end
+    for f in seen[1:]:
+        assert _rel_l2(f, states[f.time]) <= 1e-12
+
+
+@pytest.mark.parametrize("model,sigma", [m for m in _MODELS if m[0] in _LENS],
+                         ids=[m.value for m in _LENS])
+def test_lens_trajectory_matches_chained_steps(grid1d, model, sigma):
+    # growing, trimmed steps: the schedule doubles dt0 by t = 4
+    dt0, targets = 0.05, (0.3, 2.55, 4.0)
+    phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
+    snaps = _lens_trajectory(phi, targets, dt0)
+    refs, _ = _chained_steps(phi, lambda t: _lens_schedule_dt(t, dt0), targets, 1e-12)
+    for (f, env), ref, target in zip(snaps, refs, targets):
+        assert f.time == ref.time and env.t == pytest.approx(target)
+        assert _rel_l2(f, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [Model.RESCALED, Model.RESCALED_LENS],
+                         ids=["evolve", "lens-trajectory"])
+def test_non_finite_mid_segment_raises_at_step_time(grid1d, monkeypatch, model):
+    real, calls = propagators.power_ratio, []
+
+    def poisoned(rho, sigma):  # the fifth step's phase turns non-finite
+        calls.append(sigma)
+        return real(rho, sigma) * (np.nan if len(calls) == 5 else 1.0)
+
+    monkeypatch.setattr(propagators, "power_ratio", poisoned)
+    phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
+    with pytest.raises(BlowUpError) as err:
+        if model is Model.RESCALED:
+            evolve(phi, StepPlan(1e-3), 0.02)
+        else:
+            _lens_trajectory(phi, [0.02], 1e-3)
+    assert err.value.time == pytest.approx(5e-3, abs=1e-15)
