@@ -4,13 +4,15 @@ dispersive-envelope ODEs, Wasserstein/Sobolev diagnostics, and a
 config-driven experiment harness.
 """
 
+__version__ = "0.1.0"  # set first: experiments records it in every run
+
 from .envelope import (EnvelopeState, RadialState, TauEnvelope, chevron_state,
                        first_integral_residual, integrate_r, integrate_tau,
                        tau_difference_bound, tau_from_r, time_change_s,
                        time_change_s_limit)
-from .errors import (BlowUpError, EnvelopeError, GridError, IntegrationError,
-                     NlsLabError, NormalizationError, ResolutionError,
-                     ScatteringError, VerificationError)
+from .errors import (BlowUpError, EnvelopeError, GridError, NlsLabError,
+                     NormalizationError, ResolutionError, ScatteringError,
+                     VerificationError)
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, RunRecord,
                           default_config, run, sweep, verify)
 from .grid import (Density, Grid, Model, WaveField, edge_density, energy,
@@ -31,5 +33,3 @@ from .scattering import (AsymptoticState, extract_asymptotic, free_conjugate,
                          interaction_picture_continuity, scattering_map,
                          sigma_norm, strauss_exponent)
 from .snapshots import density_csv, read_snapshot, write_snapshot
-
-__version__ = "0.1.0"

@@ -16,8 +16,12 @@ from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, default_config,
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        with open(args.config) as fh:
-            cfg = ExperimentConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise NlsLabError(f"cannot read config: {exc}") from exc
+        cfg = ExperimentConfig.from_json(text)
         if args.experiment and cfg.name != args.experiment:
             raise NlsLabError(
                 f"config names experiment {cfg.name!r}, command line says "

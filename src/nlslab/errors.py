@@ -21,10 +21,6 @@ class EnvelopeError(NlsLabError, ValueError):
     """Inconsistent or invalid dispersive-envelope state."""
 
 
-class IntegrationError(NlsLabError, RuntimeError):
-    """ODE integration failure (step underflow, invariant loss)."""
-
-
 class BlowUpError(NlsLabError, RuntimeError):
     """NaN/Inf or mass-drift tripwire during time stepping.
 

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import __version__
 from .envelope import (first_integral_residual, integrate_r, integrate_tau,
                        tau_difference_bound, time_change_s)
 from .errors import EnvelopeError, GridError, NlsLabError, VerificationError
@@ -42,9 +43,6 @@ EXPERIMENT_NAMES = (
     "gaussian-profile",
     "sobolev-growth",
 )
-
-CODE_VERSION = "0.1.0"
-
 
 # ---------------------------------------------------------------- config
 
@@ -80,9 +78,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        data["sigmas"] = tuple(data["sigmas"])
-        return cls(**data)
+        try:
+            data = json.loads(text)
+            data["sigmas"] = tuple(data["sigmas"])
+            return cls(**data)
+        except NlsLabError:
+            raise
+        except (ValueError, TypeError, KeyError) as exc:  # bad JSON, key or value
+            raise GridError(f"invalid config: {type(exc).__name__}: {exc}") from exc
 
     @property
     def digest(self) -> str:
@@ -94,10 +97,7 @@ def _validate_sigma_window(name: str, sigmas, dim: int) -> None:
         s0 = strauss_exponent(dim)
         if min(sigmas) <= s0:
             raise GridError(f"{name} needs every sigma > {s0:.4f}")
-    elif name in ("uniform-w1",):
-        if not all(0.0 < s < 1.0 / dim for s in sigmas):
-            raise GridError(f"{name} needs sigma in (0, 1/d)")
-    elif name in ("log-limit-local", "log-limit-global"):
+    elif name in ("uniform-w1", "log-limit-local", "log-limit-global"):
         if not all(0.0 < s < 1.0 / dim for s in sigmas):
             raise GridError(f"{name} needs sigma in (0, 1/d)")
     elif name in ("gaussian-profile", "sobolev-growth"):
@@ -220,8 +220,11 @@ class RunRecord:
     def load(cls, path: str) -> "RunRecord":
         if not os.path.exists(path):
             raise VerificationError(f"missing record {path}")
-        with open(path) as fh:
-            return cls(**json.load(fh))
+        try:
+            with open(path) as fh:
+                return cls(**json.load(fh))
+        except (ValueError, TypeError) as exc:  # bad JSON or fields
+            raise VerificationError(f"malformed record {path}: {exc}") from exc
 
     @property
     def passed(self) -> bool:
@@ -238,9 +241,9 @@ def _lens_schedule_dt(t: float, dt0: float, dt_cap: float = 0.25) -> float:
 
 def _lens_trajectory(start: WaveField, targets, dt0: float, dt_cap: float = 0.25):
     """March a lens-model field through increasing checkpoint times."""
-    env_at = _envelope(start)
+    _, env_at = _envelope(start.model, start.sigma, start.grid.dim)
     plan = StepPlan(dt0)
-    coefficients = _coefficients(start.model, start.sigma, start.grid, plan, env_at)
+    coefficients = _coefficients(start.model, start.sigma, start.grid, plan)
     values, t, out = start.values, start.time, []
     mass0 = mass(start)
     for target in targets:
@@ -720,7 +723,7 @@ def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
         verdicts = _ANALYZERS[config.name](config, out_dir)
         record = RunRecord(
             config=json.loads(config.to_json()), config_hash=config.digest,
-            code_version=CODE_VERSION, started=started, finished=_now(),
+            code_version=__version__, started=started, finished=_now(),
             status="complete", stage=None, error=None,
             csv_paths={k: os.path.basename(v) for k, v in csv_paths.items()},
             csv_hashes={k: _file_sha256(v) for k, v in csv_paths.items()},
@@ -729,7 +732,7 @@ def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
         error = str(exc) if isinstance(exc, NlsLabError) else traceback.format_exc()
         record = RunRecord(
             config=json.loads(config.to_json()), config_hash=config.digest,
-            code_version=CODE_VERSION, started=started, finished=_now(),
+            code_version=__version__, started=started, finished=_now(),
             status="failed", stage=type(exc).__name__, error=error,
             csv_paths={}, csv_hashes={}, verdicts=[])
     _atomic_write(record_path, record.to_json().encode())

@@ -60,72 +60,51 @@ def _phase(model: Model, sigma: float, log_floor: float):
     return lambda rho: power_ratio(rho, sigma)
 
 
-def _advance_env(env: EnvelopeState, dt: float) -> EnvelopeState:
-    """RK4 the envelope ODE from env.t by dt (a few substeps suffice)."""
-    a = env.dim * env.sigma
-    t, y, v = env.t, env.tau, env.tau_dot
-    nsub = max(1, int(math.ceil(abs(dt) / 1e-3)))
-    h = dt / nsub
-    for _ in range(nsub):
-        def acc(z):
-            return 0.5 * z ** (-(a + 1.0))
-        k1y, k1v = v, acc(y)
-        k2y, k2v = v + 0.5 * h * k1v, acc(y + 0.5 * h * k1y)
-        k3y, k3v = v + 0.5 * h * k2v, acc(y + 0.5 * h * k2y)
-        k4y, k4v = v + h * k3v, acc(y + h * k3y)
-        y += h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6.0
-        v += h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
-        t += h
-    return EnvelopeState(t=t, tau=y, tau_dot=v, sigma=env.sigma, dim=env.dim)
-
-
-def _coefficients(model: Model, sigma: float, grid, plan: StepPlan, env_at=None):
+def _coefficients(model: Model, sigma: float, grid, plan: StepPlan, frozen_tau=None):
     """(t, dt) -> (kinetic weight, potential rho -> V) for one step of `model`.
-    Lens models freeze both at the step midpoint; env_at(t) is their envelope."""
+    Lens models freeze both at the envelope's tau at the step midpoint (the step
+    start when plan.potential_midpoint is off), or at frozen_tau if given."""
     if model in (Model.DIRECT, Model.RESCALED) and not sigma > 0:
         raise GridError(f"{model.value} model needs sigma > 0 (sigma = 0 is the log "
                         f"model), got {sigma}")
     phase = _phase(model, sigma, plan.log_floor)
-    if model not in (Model.RESCALED_LENS, Model.DIRECT_LENS):
+    tau_at, _ = _envelope(model, sigma, grid.dim)
+    if tau_at is None:
         return lambda t, dt: (1.0, phase)
+    if frozen_tau is not None:
+        tau_at = lambda t: frozen_tau
     r2, a = grid.radius_sq, grid.dim * sigma
+    midpoint = 0.5 if plan.potential_midpoint else 0.0
 
     def lens(t, dt):
-        env = env_at(t)
-        if env.tau <= 0:
-            raise EnvelopeError(f"envelope tau must be positive, got {env.tau}")
-        if abs(env.t - t) > 1e-9 * max(1.0, abs(t)):
-            raise EnvelopeError(f"envelope time {env.t} inconsistent with field time {t}")
-        if model is Model.DIRECT_LENS:
-            env = chevron_state(t + 0.5 * dt, sigma, grid.dim)
-        elif plan.potential_midpoint:
-            env = _advance_env(env, 0.5 * dt)
-            if env.tau <= 0:
-                raise EnvelopeError(f"envelope tau must be positive, got {env.tau}")
-        tau, nl = env.tau, env.tau ** (-a)
+        tau = tau_at(t + midpoint * dt)
+        if tau <= 0:
+            raise EnvelopeError(f"envelope tau must be positive, got {tau}")
+        nl = tau ** (-a)
         # direct-lens: i v_t + Lap v/(2<t>^2) = |y|^2 v/(2<t>^2) + <t>^{-d sigma} |v|^{2s} v
         harm = 0.25 * nl if model is Model.RESCALED_LENS else 0.5 / tau**2
         return 1.0 / tau**2, lambda rho: harm * r2 + nl * phase(rho)
     return lens
 
 
-def _envelope(field: WaveField, envelope: TauEnvelope | None = None):
-    """t -> EnvelopeState of a lens-model field; None for the autonomous models."""
-    if field.model is Model.DIRECT_LENS:
-        return lambda t: chevron_state(t, field.sigma, field.grid.dim)
-    if field.model is not Model.RESCALED_LENS:
-        return None
-    if envelope is None:
-        if field.time != 0.0:
-            raise EnvelopeError("restarting a rescaled-lens run needs its TauEnvelope")
-        envelope = TauEnvelope(field.sigma, field.grid.dim)
-    return envelope.state
+def _envelope(model: Model, sigma: float, dim: int):
+    """(t -> tau, t -> EnvelopeState) of a lens model; (None, None) for the
+    autonomous models."""
+    if model is Model.DIRECT_LENS:
+        return (lambda t: chevron_state(t, sigma, dim).tau,
+                lambda t: chevron_state(t, sigma, dim))
+    if model is Model.RESCALED_LENS:
+        env = TauEnvelope(sigma, dim)
+        return env.tau, env.state
+    return None, None
 
 
 def _step_sizes(t: float, t_end: float, dt_of, tol: float, t_stop: float = math.inf):
     """Steps dt_of(t) from t to t_end, the last trimmed; ends early on reaching t_stop."""
     while t < t_end - tol:
         dt = min(dt_of(t), t_end - t)
+        if not dt > 0:
+            raise GridError(f"time steps must be positive, got {dt}")
         yield dt
         t += dt
         if t >= t_stop - 1e-12:
@@ -169,8 +148,8 @@ def _march(values: np.ndarray, grid, t: float, steps, coefficients, scheme: str)
     return values, t
 
 
-def _one_step(field: WaveField, plan: StepPlan, sigma: float, env_at=None) -> WaveField:
-    coefficients = _coefficients(field.model, sigma, field.grid, plan, env_at)
+def _one_step(field: WaveField, plan: StepPlan, sigma: float, frozen_tau=None) -> WaveField:
+    coefficients = _coefficients(field.model, sigma, field.grid, plan, frozen_tau)
     values, t = _march(field.values, field.grid, field.time, (plan.dt,), coefficients,
                        plan.scheme)
     return field.with_values(values, time=t)
@@ -198,10 +177,21 @@ def step_log(field: WaveField, plan: StepPlan) -> WaveField:
 
 
 def step_lens(field: WaveField, plan: StepPlan, env: EnvelopeState) -> WaveField:
-    """One step of a lens-transformed model with midpoint-frozen coefficients."""
+    """One lens-model step from env, the field's envelope (time, sigma, d) at the
+    step start; coefficients are frozen at the model's own envelope at the step
+    midpoint, or at env.tau when potential_midpoint is off."""
     if field.model not in (Model.RESCALED_LENS, Model.DIRECT_LENS):
         raise GridError(f"step_lens needs a lens-model field, got {field.model}")
-    return _one_step(field, plan, field.sigma, lambda t: env)
+    if abs(env.sigma - field.sigma) > 1e-12 or env.dim != field.grid.dim:
+        raise EnvelopeError(f"envelope (sigma {env.sigma}, d = {env.dim}) does not "
+                            f"match the field (sigma {field.sigma}, d = {field.grid.dim})")
+    if env.tau <= 0:
+        raise EnvelopeError(f"envelope tau must be positive, got {env.tau}")
+    if abs(env.t - field.time) > 1e-9 * max(1.0, abs(field.time)):
+        raise EnvelopeError(f"envelope time {env.t} inconsistent with field time "
+                            f"{field.time}")
+    return _one_step(field, plan, field.sigma,
+                     None if plan.potential_midpoint else env.tau)
 
 
 def free_flow(field: WaveField, dt: float) -> WaveField:
@@ -227,17 +217,16 @@ def conservation_row(field: WaveField, envelope: EnvelopeState | None = None) ->
 
 
 def evolve(field: WaveField, plan: StepPlan, t_end: float, observers=(),
-           observe_dt: float | None = None, envelope: TauEnvelope | None = None):
-    """Repeatedly step to t_end (trimmed last step lands exactly).
+           observe_dt: float | None = None):
+    """Repeatedly step forward to t_end (trimmed last step lands exactly).
 
     Returns (final field, list of conservation rows).  Observers are
-    callables taking the current field; they fire with the rows.  For
-    the rescaled-lens model a TauEnvelope is integrated alongside (one
-    is created automatically when starting from t = 0).
+    callables taking the current field; they fire with the rows.  Lens
+    models read their envelope at each step's midpoint.
     """
     if t_end < field.time:
         raise GridError(f"t_end {t_end} before field time {field.time}")
-    env_at = _envelope(field, envelope)
+    _, env_at = _envelope(field.model, field.sigma, field.grid.dim)
 
     def observe(f):
         row = conservation_row(f, env_at(f.time) if env_at else None)
@@ -251,7 +240,7 @@ def evolve(field: WaveField, plan: StepPlan, t_end: float, observers=(),
     if t_end == field.time:
         return field, log
 
-    coefficients = _coefficients(field.model, field.sigma, field.grid, plan, env_at)
+    coefficients = _coefficients(field.model, field.sigma, field.grid, plan)
     mass0 = mass(field)
     observe(field)
     next_obs = field.time + observe_dt if observe_dt else math.inf

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from nlslab import (Density, EnvelopeState, Model, PROFILE_DILATION, StepPlan,
                     TauEnvelope, cazenave_haraux_gap, density_from_field,
@@ -109,14 +110,26 @@ def test_criterion_4_ode_first_integrals(acceptance_log):
         worst_res = max(worst_res, max(abs(first_integral_residual(s)) for s in states))
         gaps = [abs(s.tau * math.sqrt(sigma) / s.t - 1.0) for s in states[-3:]]
         monotone &= all(b < a for a, b in zip(gaps, gaps[1:]))
+    # the residual checks only that the interpolant is consistent with
+    # the first integral it was built from, so tau and tau' are also
+    # checked against an independent DOP853 run of the second-order ODE
+    oracle_times = [1.0, 10.0, 100.0, 1000.0]
+    worst_ode = 0.0
+    for sigma in (0.1, 0.01, 0.0):
+        ref = solve_ivp(lambda t, y: (y[1], 0.5 * y[0] ** -(sigma + 1.0)),
+                        (0.0, oracle_times[-1]), (1.0, 0.0), method="DOP853",
+                        rtol=1e-13, atol=1e-13, t_eval=oracle_times)
+        for s, tau, tau_dot in zip(integrate_tau(sigma, 1, oracle_times), *ref.y):
+            worst_ode = max(worst_ode, abs(s.tau / tau - 1.0), abs(s.tau_dot / tau_dot - 1.0))
     r_states = integrate_r(2.0, probes)
     worst_r = max(abs(s.r - math.sqrt(1.0 + s.t**2)) / s.r for s in r_states)
     tau0 = integrate_tau(0.0, 1, [1e6])[0].tau
     log_ratio = tau0 / (1e6 * math.sqrt(math.log(1e6)))
-    ok = (worst_res <= 1e-10 and worst_r <= 1e-10 and monotone
+    ok = (worst_res <= 1e-10 and worst_ode <= 1e-10 and worst_r <= 1e-10 and monotone
           and 0.9 <= log_ratio <= 1.1)
     assert _record(acceptance_log, 4, "envelope first integrals", ok,
-                   f"residual {worst_res:.1e}, chevron gap {worst_r:.1e}, "
+                   f"residual {worst_res:.1e}, ODE oracle gap {worst_ode:.1e}, "
+                   f"chevron gap {worst_r:.1e}, "
                    f"tau_sigma sqrt(sigma)/t monotone -> 1: {monotone}, "
                    f"tau_0/(t sqrt(ln t)) = {log_ratio:.4f}")
 

@@ -3,11 +3,12 @@ import math
 
 import pytest
 
+from nlslab import envelope
 from nlslab import (EnvelopeState, TauEnvelope, chevron_state,
                     first_integral_residual, integrate_r, integrate_tau,
                     tau_difference_bound, tau_from_r, time_change_s,
                     time_change_s_limit)
-from nlslab.errors import EnvelopeError, IntegrationError
+from nlslab.errors import EnvelopeError
 
 
 def test_initial_data():
@@ -149,13 +150,19 @@ def test_difference_bound_window_validation():
         tau_difference_bound(0.0, 1, 100.0)
 
 
-# ------------------------------------------------------------- integrator
+# ------------------------------------------------------------- evaluator
 
-def test_envelope_monotone_query_enforced():
+def test_envelope_queries_in_any_order():
+    # the evaluator holds no state: a backward query equals a fresh one,
+    # and growing the shared table never changes a value already given
     env = TauEnvelope(0.1, 1)
-    env.state(2.0)
-    with pytest.raises(IntegrationError):
-        env.state(1.0)
+    late, early = env.state(2.0), env.state(1.0)
+    envelope._table.cache_clear()
+    fresh = TauEnvelope(0.1, 1)
+    assert fresh.state(1.0) == early
+    fresh.state(1e6)
+    assert fresh.state(2.0) == late
+    assert early.tau < late.tau
 
 
 def test_integrate_grids_validated():
@@ -167,3 +174,6 @@ def test_integrate_grids_validated():
         integrate_r(0.0, [1.0])
     with pytest.raises(EnvelopeError):
         TauEnvelope(-0.1, 1)
+    for t in (-1e-3, math.nan, math.inf):
+        with pytest.raises(EnvelopeError):
+            TauEnvelope(0.1, 1).state(t)

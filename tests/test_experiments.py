@@ -224,3 +224,40 @@ def test_cli_config_name_mismatch(tmp_path, capsys):
 
 def test_cli_verify_missing_record(tmp_path, capsys):
     assert cli_main(["verify", "--out", str(tmp_path / "nothing")]) == 2
+
+
+def _config_text(change):
+    data = json.loads(_small_local_config().to_json())
+    change(data)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text", [
+    _config_text(lambda d: d.update(bogus=1)),
+    _config_text(lambda d: d.pop("sigmas")),
+    _config_text(lambda d: d.pop("name")),
+    '{"name": "local-continuity", "sigmas": [0.8,',
+], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json"])
+def test_cli_bad_config_exits_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: invalid config") and "Traceback" not in err
+
+
+def test_cli_unreadable_config_exits_2(tmp_path, capsys):
+    assert cli_main(["run", "--config", str(tmp_path / "absent.json"),
+                     "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: cannot read config") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ['{"status": "complete",', "[]",
+                                  '{"status": "complete"}'],
+                         ids=["invalid-json", "not-an-object", "missing-fields"])
+def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, text):
+    (tmp_path / "record.json").write_text(text)
+    assert cli_main(["verify", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: malformed record") and "Traceback" not in err

@@ -222,6 +222,14 @@ def test_lens_envelope_time_mismatch(grid1d):
         step_lens(phi, StepPlan(1e-3), env)
 
 
+def test_lens_envelope_sigma_or_dim_mismatch(grid1d):
+    phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
+    for sigma, dim in ((0.2, 1), (0.3, 2)):
+        env = EnvelopeState(t=0.0, tau=1.0, tau_dot=0.0, sigma=sigma, dim=dim)
+        with pytest.raises(EnvelopeError):
+            step_lens(phi, StepPlan(1e-3), env)
+
+
 def test_lens_position_norm_stays_bounded(grid1d):
     # confinement at work: ||y v|| stays O(1) over a long lens run
     from nlslab import position_norm_sq
@@ -243,6 +251,16 @@ def test_evolve_rejects_backward_target(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     with pytest.raises(GridError):
         evolve(phi, StepPlan(1e-3), -1.0)
+
+
+def test_evolve_rejects_nonpositive_dt(grid1d):
+    # a backward StepPlan is valid for one step, but evolve only marches forward
+    phi = gaussian_state(grid1d, 1.0, sigma=1.0)
+    with pytest.raises(GridError):
+        evolve(phi, StepPlan(-1e-3), 0.01)
+    lens = gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
+    with pytest.raises(GridError):
+        _lens_trajectory(lens, [0.01], -1e-3)
 
 
 def test_evolve_trims_final_step(grid1d):
