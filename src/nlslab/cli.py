@@ -5,7 +5,6 @@ Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 execution error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -29,11 +28,7 @@ def _load_config(args) -> ExperimentConfig:
         return cfg
     if not args.experiment:
         raise NlsLabError("give an experiment name or --config PATH")
-    cfg = default_config(args.experiment)
-    if args.seed is not None:
-        cfg = ExperimentConfig.from_json(
-            json.dumps({**json.loads(cfg.to_json()), "seed": args.seed}))
-    return cfg
+    return default_config(args.experiment)
 
 
 def _print_verdicts(verdicts, out=None):
@@ -105,16 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
                                             "power-law and logarithmic Schrodinger flows")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_out=True):
+    def common(sp):
         sp.add_argument("experiment", nargs="?", choices=EXPERIMENT_NAMES,
                         help="experiment name (or give --config)")
         sp.add_argument("--config", help="path to a JSON config")
-        if needs_out:
-            sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="reserved; runs execute sequentially")
-        sp.add_argument("--format", choices=["csv"], default="csv")
+        sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("run", help="execute one experiment")
     common(sp)

@@ -1,7 +1,7 @@
 """Named experiments wiring the solver modules into reproducible runs.
 
 Each experiment writes plain CSV artifacts (deterministic bytes for a
-given config + seed) plus a record.json; every verdict is recomputed
+given config) plus a record.json; every verdict is recomputed
 from the CSVs alone, so `verify` can re-check an archived run without
 touching the solvers.
 """
@@ -21,16 +21,16 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .envelope import (first_integral_residual, integrate_r, integrate_tau,
+from .envelope import (TauEnvelope, first_integral_residual, integrate_r, integrate_tau,
                        tau_difference_bound, time_change_s)
-from .errors import EnvelopeError, GridError, NlsLabError, VerificationError
-from .grid import Model, WaveField, gaussian_state, l2_distance, make_grid, mass
+from .errors import GridError, NlsLabError, VerificationError
+from .grid import Model, WaveField, gaussian_state, l2_distance, make_grid
 from .metrics import gaussian_gamma, w1_1d, w1_1d_dilated
-from .propagators import StepPlan, _coefficients, _envelope, _march, _step_sizes, evolve
+from .propagators import StepPlan, evolve
 from .rescaling import (PROFILE_DILATION, density_from_field,
                         direct_gradient_norm_sq, pseudo_energy)
-from .scattering import (extract_asymptotic, free_conjugate, interaction_picture_continuity,
-                         scattering_map, strauss_exponent)
+from .scattering import (extract_asymptotic, interaction_picture_continuity, scattering_map,
+                         strauss_exponent)
 
 EXPERIMENT_NAMES = (
     "local-continuity",
@@ -59,7 +59,6 @@ class ExperimentConfig:
     width: float = 1.0              # Gaussian datum width
     t0: float = 1.0                 # first checkpoint time
     n_times: int = 4                # number of checkpoints
-    seed: int = 0
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
@@ -81,6 +80,7 @@ class ExperimentConfig:
         try:
             data = json.loads(text)
             data["sigmas"] = tuple(data["sigmas"])
+            data.pop("seed", None)  # legacy key of older records; no run read it
             return cls(**data)
         except NlsLabError:
             raise
@@ -222,9 +222,13 @@ class RunRecord:
             raise VerificationError(f"missing record {path}")
         try:
             with open(path) as fh:
-                return cls(**json.load(fh))
+                record = cls(**json.load(fh))
         except (ValueError, TypeError) as exc:  # bad JSON or fields
             raise VerificationError(f"malformed record {path}: {exc}") from exc
+        if set(record.csv_paths) != set(record.csv_hashes):
+            raise VerificationError(f"malformed record {path}: csv_paths and csv_hashes "
+                                    f"name different files")
+        return record
 
     @property
     def passed(self) -> bool:
@@ -233,27 +237,11 @@ class RunRecord:
 
 # ---------------------------------------------------------------- helpers
 
-def _lens_schedule_dt(t: float, dt0: float, dt_cap: float = 0.25) -> float:
-    """Growing step for lens runs: the stepped coefficients decay in tau,
-    so the local splitting error shrinks and dt may grow ~ t."""
-    return min(max(dt0, dt0 * 0.5 * t), dt_cap)
-
-
-def _lens_trajectory(start: WaveField, targets, dt0: float, dt_cap: float = 0.25):
-    """March a lens-model field through increasing checkpoint times."""
-    _, env_at = _envelope(start.model, start.sigma, start.grid.dim)
-    plan = StepPlan(dt0)
-    coefficients = _coefficients(start.model, start.sigma, start.grid, plan)
-    values, t, out = start.values, start.time, []
-    mass0 = mass(start)
-    for target in targets:
-        steps = _step_sizes(t, target, lambda s: _lens_schedule_dt(s, dt0, dt_cap), 1e-12)
-        values, t = _march(values, start.grid, t, steps, coefficients, plan.scheme)
-        current = start.with_values(values, time=t)
-        if abs(mass(current) - mass0) > 1e-7 * mass0:
-            raise EnvelopeError(f"lens run lost mass at t = {current.time:g}")
-        out.append((current, env_at(t)))
-    return out
+def _at_checkpoints(start: WaveField, dt: float, times) -> list[WaveField]:
+    """The field at each checkpoint time, from one evolve."""
+    snaps = []
+    evolve(start, StepPlan(dt), times[-1], observers=(snaps.append,), checkpoints=times)
+    return snaps[1:]
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -351,20 +339,11 @@ def _run_local_continuity(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
     times = cfg.times()
-    plan = StepPlan(cfg.dt)
-
-    def trajectory(s):
-        cur = phi.with_tags(sigma=s)
-        out = []
-        for t in times:
-            cur, _ = evolve(cur, plan, t)
-            out.append(cur)
-        return out
-
-    ref = trajectory(base)
+    ref = _at_checkpoints(phi, cfg.dt, times)
     rows = []
     for nu in nus:
-        sup = max(l2_distance(a, b) for a, b in zip(trajectory(nu), ref))
+        run = _at_checkpoints(phi.with_tags(sigma=nu), cfg.dt, times)
+        sup = max(l2_distance(a, b) for a, b in zip(run, ref))
         rows.append((nu, abs(nu - base), sup))
     theta = _loglog_slope([r[1] for r in rows], [r[2] for r in rows])
     return {
@@ -431,13 +410,12 @@ def _analyze_global_interaction(cfg: ExperimentConfig, out_dir: str):
 def _run_scattering(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     threshold = strauss_exponent(cfg.dim)
-    plan = StepPlan(cfg.dt)
     rows = []
     defect_rows = []
     for s in cfg.sigmas:
         phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT)
         if s > threshold:
-            state, diag = scattering_map(phi, s, plan, cfg.t0,
+            state, diag = scattering_map(phi, s, StepPlan(cfg.dt), cfg.t0,
                                          n_cadences=cfg.n_times)
             hist = state.residual_history
             converged = state.converged
@@ -445,13 +423,7 @@ def _run_scattering(cfg: ExperimentConfig):
                 defect_rows.append((s, i, d))
         else:
             # long-range control: forward run only, extraction must stall
-            start = phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0)
-            traj = []
-            cur = start
-            for t in [cfg.t0 * 2**j for j in range(cfg.n_times)]:
-                cur, _ = evolve(cur, plan, t)
-                traj.append(cur)
-            out = extract_asymptotic(traj, "+")
+            out = extract_asymptotic(_at_checkpoints(phi, cfg.dt, cfg.times()), "+")
             hist, converged = out.residual_history, out.converged
         for i, r in enumerate(hist):
             rows.append((s, i, cfg.t0 * 2**i, r, converged))
@@ -488,8 +460,7 @@ def _run_uniform_w1(cfg: ExperimentConfig):
 
     def densities(s):
         phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT_LENS)
-        return [density_from_field(f) for f, _ in
-                _lens_trajectory(phi, times, cfg.dt)]
+        return [density_from_field(f) for f in _at_checkpoints(phi, cfg.dt, times)]
 
     ref = densities(base)
     w_rows, sup_rows = [], []
@@ -533,20 +504,10 @@ def _run_log_limit_local(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.LOG)
     times = cfg.times()
-    plan = StepPlan(cfg.dt)
-
-    def trajectory(field):
-        cur, out = field, []
-        for t in times:
-            cur, _ = evolve(cur, plan, t)
-            out.append(cur)
-        return out
-
-    ref = trajectory(phi0)
+    ref = _at_checkpoints(phi0, cfg.dt, times)
     rows = []
     for s in cfg.sigmas:
-        phi_s = phi0.with_tags(sigma=s, model=Model.RESCALED)
-        run = trajectory(phi_s)
+        run = _at_checkpoints(phi0.with_tags(sigma=s, model=Model.RESCALED), cfg.dt, times)
         sup = 0.0
         for t, a, b in zip(times, run, ref):
             sup = max(sup, l2_distance(a, b))
@@ -588,14 +549,15 @@ def _run_log_limit_global(cfg: ExperimentConfig):
 
     def lens_run(s):
         phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.RESCALED_LENS)
-        return _lens_trajectory(phi, times, cfg.dt)
+        return _at_checkpoints(phi, cfg.dt, times)
 
-    ref = [density_from_field(f) for f, _ in lens_run(0.0)]
+    ref = [density_from_field(f) for f in lens_run(0.0)]
     w_rows, sup_rows, pe_rows = [], [], []
     for s in cfg.sigmas:
-        run = lens_run(s)
+        envelope = TauEnvelope(s, cfg.dim)
         ws = []
-        for (f, env), rho0, t in zip(run, ref, times):
+        for f, rho0, t in zip(lens_run(s), ref, times):
+            env = envelope.state(f.time)
             w = w1_1d(density_from_field(f), rho0)
             ws.append(w)
             w_rows.append((s, t, w))
@@ -635,10 +597,12 @@ def _run_gaussian_profile(cfg: ExperimentConfig):
     phi = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.RESCALED_LENS)
     gamma = gaussian_gamma(grid)
     times = cfg.times()
+    envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    for (f, env), t in zip(_lens_trajectory(phi, times, cfg.dt), times):
+    for f, t in zip(_at_checkpoints(phi, cfg.dt, times), times):
         w = w1_1d_dilated(density_from_field(f), gamma, PROFILE_DILATION)
-        rows.append((t, env.tau, w, w * math.sqrt(math.log(max(t, 1.0 + 1e-9)))))
+        rows.append((t, envelope.tau(f.time), w,
+                     w * math.sqrt(math.log(max(t, 1.0 + 1e-9)))))
     return {"w1_gamma.csv": (("t", "tau", "w1", "w1_sqrt_log_t"), rows)}
 
 
@@ -662,8 +626,10 @@ def _run_sobolev_growth(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.RESCALED_LENS)
     times = cfg.times()
+    envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    for (f, env), t in zip(_lens_trajectory(phi, times, cfg.dt), times):
+    for f, t in zip(_at_checkpoints(phi, cfg.dt, times), times):
+        env = envelope.state(f.time)
         # direct-variable gradient norm, evaluated without leaving lens variables
         h1_sq = direct_gradient_norm_sq(f, env)
         rows.append((t, env.tau, h1_sq, h1_sq / math.log(max(t, 1.0 + 1e-9))))

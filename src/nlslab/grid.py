@@ -6,7 +6,7 @@ accurate for smooth periodic integrands on this lattice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 

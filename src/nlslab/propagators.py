@@ -19,6 +19,7 @@ from .errors import BlowUpError, EnvelopeError, GridError
 from .grid import Model, WaveField, edge_density, energy, gradient_norm_sq, lp_norm, mass
 
 MASS_DRIFT_TRIP = 1e-8
+LENS_DT_CAP = 0.25
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,20 @@ def _envelope(model: Model, sigma: float, dim: int):
     return None, None
 
 
-def _step_sizes(t: float, t_end: float, dt_of, tol: float, t_stop: float = math.inf):
-    """Steps dt_of(t) from t to t_end, the last trimmed; ends early on reaching t_stop."""
+def _lens_schedule_dt(t: float, dt0: float) -> float:
+    """Growing step for lens runs: the stepped coefficients decay in tau,
+    so the local splitting error shrinks and dt may grow ~ t."""
+    return min(max(dt0, dt0 * 0.5 * t), LENS_DT_CAP)
+
+
+def _step_sizes(t: float, t_end: float, dt_of, tol: float):
+    """Steps dt_of(t) from t to t_end, the last trimmed."""
     while t < t_end - tol:
         dt = min(dt_of(t), t_end - t)
         if not dt > 0:
             raise GridError(f"time steps must be positive, got {dt}")
         yield dt
         t += dt
-        if t >= t_stop - 1e-12:
-            return
 
 
 def _march(values: np.ndarray, grid, t: float, steps, coefficients, scheme: str):
@@ -216,17 +221,28 @@ def conservation_row(field: WaveField, envelope: EnvelopeState | None = None) ->
     return row
 
 
-def evolve(field: WaveField, plan: StepPlan, t_end: float, observers=(),
-           observe_dt: float | None = None):
-    """Repeatedly step forward to t_end (trimmed last step lands exactly).
+def evolve(field: WaveField, plan: StepPlan, t_end: float, observers=(), checkpoints=()):
+    """March to t_end, landing exactly on each checkpoint (trimmed last steps).
 
-    Returns (final field, list of conservation rows).  Observers are
-    callables taking the current field; they fire with the rows.  Lens
-    models read their envelope at each step's midpoint.
+    checkpoints is a sorted sequence of times in (field.time, t_end].
+    Returns (final field, list of conservation rows).  Each observation,
+    at the start, at each checkpoint and once at t_end, logs a row, fires
+    the observers (callables taking the field) and trips BlowUpError if
+    the mass has drifted by more than MASS_DRIFT_TRIP of its starting
+    value.  Lens models step on _lens_schedule_dt from plan.dt and read
+    their envelope at each step's midpoint; the other models step at
+    plan.dt.
     """
-    if t_end < field.time:
-        raise GridError(f"t_end {t_end} before field time {field.time}")
+    times = [field.time, *map(float, checkpoints)]
+    if times[-1] > t_end or any(b <= a for a, b in zip(times, times[1:])):
+        raise GridError(f"need field time {field.time} < sorted checkpoints <= "
+                        f"t_end {t_end}")
+    log: list[dict] = []
+    if t_end == field.time:
+        return field, log
+    targets = times[1:] if times[-1] == t_end else times[1:] + [t_end]
     _, env_at = _envelope(field.model, field.sigma, field.grid.dim)
+    mass0 = mass(field)
 
     def observe(f):
         row = conservation_row(f, env_at(f.time) if env_at else None)
@@ -236,22 +252,13 @@ def evolve(field: WaveField, plan: StepPlan, t_end: float, observers=(),
         if abs(row["mass"] - mass0) > MASS_DRIFT_TRIP * mass0:
             raise BlowUpError(f"mass drift tripwire at t = {f.time:.6g}", time=f.time)
 
-    log: list[dict] = []
-    if t_end == field.time:
-        return field, log
-
     coefficients = _coefficients(field.model, field.sigma, field.grid, plan)
-    mass0 = mass(field)
+    dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if env_at else (lambda t: plan.dt)
     observe(field)
-    next_obs = field.time + observe_dt if observe_dt else math.inf
-    tol = 1e-12 * max(1.0, abs(t_end))
-    current, values, t = field, field.values, field.time
-    while t < t_end - tol:
-        steps = _step_sizes(t, t_end, lambda _: plan.dt, tol, next_obs)
+    values, t = field.values, field.time
+    for target in targets:
+        steps = _step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target)))
         values, t = _march(values, field.grid, t, steps, coefficients, plan.scheme)
         current = field.with_values(values, time=t)
-        if t >= next_obs - 1e-12:
-            observe(current)
-            next_obs += observe_dt
-    observe(current)
+        observe(current)
     return current, log

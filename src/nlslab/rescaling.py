@@ -18,7 +18,7 @@ import numpy as np
 
 from .envelope import EnvelopeState
 from .errors import NormalizationError, ResolutionError
-from .grid import Density, Grid, Model, WaveField, edge_density, mass
+from .grid import Density, Grid, WaveField, edge_density, mass
 from .propagators import power_ratio
 
 EDGE_SUPPORT_TOL = 1e-8

@@ -72,15 +72,6 @@ def extract_asymptotic(fields, direction: str = "+") -> AsymptoticState:
                            converged=converged)
 
 
-def _dyadic_trajectory(start: WaveField, plan: StepPlan, times) -> list[WaveField]:
-    out = []
-    current = start
-    for t in times:
-        current, _ = evolve(current, plan, t)
-        out.append(current)
-    return out
-
-
 def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
                    t_infinity: float, n_refine: int = 5,
                    n_cadences: int = 4, refine_tol: float = 1e-10):
@@ -110,10 +101,11 @@ def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
             break
         correction = free_flow(base.with_values(defect_vals), -T)
         datum = datum.with_values(datum.values - correction.values, time=-T)
-    forward, _ = evolve(datum.with_tags(time=-T), plan, T)
-    times = [T * 2**j for j in range(1, n_cadences)]
-    trajectory = [forward] + _dyadic_trajectory(forward, plan, times)
-    u_plus = extract_asymptotic(trajectory, "+")
+    times = [T * 2**j for j in range(n_cadences)]
+    trajectory = []
+    evolve(datum.with_tags(time=-T), plan, times[-1], observers=(trajectory.append,),
+           checkpoints=times)
+    u_plus = extract_asymptotic(trajectory[1:], "+")
     if not u_plus.converged:
         raise ScatteringError("forward extraction residuals did not decay",
                               stage="extract-forward")
@@ -130,8 +122,10 @@ def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
     times = list(times)
 
     def profiles(s):
-        start = phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0)
-        return [free_conjugate(f) for f in _dyadic_trajectory(start, plan, times)]
+        snaps = []
+        evolve(phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0), plan, times[-1],
+               observers=(snaps.append,), checkpoints=times)
+        return [free_conjugate(f) for f in snaps[1:]]
 
     ref = profiles(sigma)
     rows = []

@@ -20,7 +20,7 @@ from nlslab import (Density, EnvelopeState, Model, PROFILE_DILATION, StepPlan,
                     l2_distance, make_grid, mass, pseudo_energy, scattering_map,
                     sobolev_norm, step_lens, tau_difference_bound, w1_1d,
                     w1_1d_dilated, w2_1d)
-from nlslab.experiments import _lens_schedule_dt, _lens_trajectory
+from nlslab.propagators import _lens_schedule_dt
 
 
 def _record(log, number, name, ok, detail):
@@ -44,7 +44,7 @@ def test_criterion_1_conservation(acceptance_log):
                               ("rescaled", 0.5, Model.RESCALED),
                               ("log", 0.0, Model.LOG)):
         phi = gaussian_state(grid, 1.0, sigma=sigma, model=model)
-        _, rows = evolve(phi, plan, 10.0, observe_dt=0.5)
+        _, rows = evolve(phi, plan, 10.0, checkpoints=[0.5 * k for k in range(1, 21)])
         drifts[tag] = (_l2_drifts(rows, "mass"), _l2_drifts(rows, "energy"))
     # lens conservation is checked on the frozen-envelope (autonomous)
     # equation, whose energy is exactly conserved by the continuum flow
@@ -232,7 +232,9 @@ def test_criterion_8_uniform_w1(acceptance_log):
 
     def densities(s):
         phi = gaussian_state(grid, 1.0, sigma=s, model=Model.DIRECT_LENS)
-        return [density_from_field(f) for f, _ in _lens_trajectory(phi, times, 1e-3)]
+        snaps = []
+        evolve(phi, StepPlan(1e-3), times[-1], observers=(snaps.append,), checkpoints=times)
+        return [density_from_field(f) for f in snaps[1:]]
 
     ref = densities(base)
     by_gap = {}
@@ -322,7 +324,10 @@ def test_criterion_11_gaussian_profile(acceptance_log):
     grid = make_grid(1, 512, 30.0)
     phi = gaussian_state(grid, 3.0, sigma=0.0, model=Model.RESCALED_LENS)
     targets = [10.0, 1e2, 1e3, 2e3, 4e3, 1e4]
-    snap = _lens_trajectory(phi, targets, 1e-3)
+    fields = []
+    evolve(phi, StepPlan(1e-3), targets[-1], observers=(fields.append,), checkpoints=targets)
+    envelope = TauEnvelope(0.0, 1)
+    snap = [(f, envelope.state(f.time)) for f in fields[1:]]
     gamma = gaussian_gamma(grid)
     decades = {10.0, 1e2, 1e3, 1e4}
     ws = [(t, w1_1d_dilated(density_from_field(f), gamma, PROFILE_DILATION))
@@ -349,7 +354,9 @@ def test_criterion_12_log_limit_global(acceptance_log):
 
     def densities(s):
         phi = gaussian_state(grid, 1.0, sigma=s, model=Model.RESCALED_LENS)
-        return [density_from_field(f) for f, _ in _lens_trajectory(phi, times, 1e-3)]
+        snaps = []
+        evolve(phi, StepPlan(1e-3), times[-1], observers=(snaps.append,), checkpoints=times)
+        return [density_from_field(f) for f in snaps[1:]]
 
     ref = densities(0.0)
     sups = []

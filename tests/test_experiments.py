@@ -138,6 +138,18 @@ def test_verify_accepts_then_flags_tampering(ode_runs, tmp_path):
     assert "envelope.csv" in summary["tampered"]
 
 
+def test_verify_accepts_legacy_seed_key(ode_runs, tmp_path):
+    # records written before the unused seed option was removed carry "seed"
+    import shutil
+    base, _, _ = ode_runs
+    out = tmp_path / "run"
+    shutil.copytree(base / "a", out)
+    record = json.loads((out / "record.json").read_text())
+    record["config"]["seed"] = 0
+    (out / "record.json").write_text(json.dumps(record))
+    assert verify(str(out))["ok"]
+
+
 def test_verify_reports_failed_run(tmp_path):
     out = str(tmp_path / "failing")
     cfg = ExperimentConfig(name="gaussian-profile", sigmas=(0.0,), n=128,
@@ -253,9 +265,16 @@ def test_cli_unreadable_config_exits_2(tmp_path, capsys):
     assert err.startswith("ERROR: cannot read config") and "Traceback" not in err
 
 
+_INCONSISTENT_RECORD = json.dumps({
+    "config": {}, "config_hash": "", "code_version": "0.1.0", "started": "",
+    "finished": "", "status": "complete", "stage": None, "error": None,
+    "csv_paths": {"fit.csv": "fit.csv"}, "csv_hashes": {}, "verdicts": []})
+
+
 @pytest.mark.parametrize("text", ['{"status": "complete",', "[]",
-                                  '{"status": "complete"}'],
-                         ids=["invalid-json", "not-an-object", "missing-fields"])
+                                  '{"status": "complete"}', _INCONSISTENT_RECORD],
+                         ids=["invalid-json", "not-an-object", "missing-fields",
+                              "csv-keys-differ"])
 def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, text):
     (tmp_path / "record.json").write_text(text)
     assert cli_main(["verify", "--out", str(tmp_path)]) == 2

@@ -11,7 +11,7 @@ from nlslab import (BlowUpError, EnvelopeState, GridError, Model, StepPlan,
                     step_lens, step_log, step_rescaled)
 from nlslab import propagators
 from nlslab.errors import EnvelopeError
-from nlslab.experiments import _lens_schedule_dt, _lens_trajectory
+from nlslab.propagators import _lens_schedule_dt
 
 
 def _free_gaussian(grid, a, t):
@@ -253,6 +253,14 @@ def test_evolve_rejects_backward_target(grid1d):
         evolve(phi, StepPlan(1e-3), -1.0)
 
 
+@pytest.mark.parametrize("checkpoints", [(0.0, 0.5), (0.5, 0.2), (0.5, 0.5), (0.5, 2.0)],
+                         ids=["at-start", "unsorted", "repeated", "past-t_end"])
+def test_evolve_rejects_bad_checkpoints(grid1d, checkpoints):
+    phi = gaussian_state(grid1d, 1.0, sigma=1.0)
+    with pytest.raises(GridError):
+        evolve(phi, StepPlan(1e-3), 1.0, checkpoints=checkpoints)
+
+
 def test_evolve_rejects_nonpositive_dt(grid1d):
     # a backward StepPlan is valid for one step, but evolve only marches forward
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
@@ -260,7 +268,7 @@ def test_evolve_rejects_nonpositive_dt(grid1d):
         evolve(phi, StepPlan(-1e-3), 0.01)
     lens = gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
     with pytest.raises(GridError):
-        _lens_trajectory(lens, [0.01], -1e-3)
+        evolve(lens, StepPlan(-1e-3), 0.01)
 
 
 def test_evolve_trims_final_step(grid1d):
@@ -274,8 +282,8 @@ def test_evolve_observer_cadence(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     seen = []
     _, log = evolve(phi, StepPlan(1e-3), 0.02, observers=(lambda f: seen.append(f.time),),
-                    observe_dt=5e-3)
-    assert len(log) >= 5           # initial + 4 cadences + final
+                    checkpoints=(5e-3, 1e-2, 1.5e-2, 2e-2))
+    assert len(log) >= 5           # initial + 4 checkpoints, the last at t_end
     assert seen[0] == 0.0
 
 
@@ -313,10 +321,10 @@ def _rel_l2(a, b):
     return float(np.linalg.norm(a.values - b.values) / np.linalg.norm(b.values))
 
 
-@pytest.mark.parametrize("observe_dt", [None, 3e-3], ids=["trimmed", "observed"])
+@pytest.mark.parametrize("checkpoints", [(), (3e-3, 6e-3, 9e-3)], ids=["trimmed", "observed"])
 @pytest.mark.parametrize("scheme", ["strang", "lie"])
 @pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
-def test_evolve_matches_chained_steps(grid1d, model, sigma, scheme, observe_dt):
+def test_evolve_matches_chained_steps(grid1d, model, sigma, scheme, checkpoints):
     # merged Strang half kicks are exact: the fused march equals one
     # step_* call per step up to roundoff, at a trimmed final step and at
     # every observation point
@@ -324,11 +332,11 @@ def test_evolve_matches_chained_steps(grid1d, model, sigma, scheme, observe_dt):
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
     seen = []
     out, _ = evolve(phi, StepPlan(1e-3, scheme=scheme), t_end, observers=(seen.append,),
-                    observe_dt=observe_dt)
-    (ref,), states = _chained_steps(phi, lambda t: 1e-3, [t_end],
-                                    1e-12 * max(1.0, t_end), scheme)
+                    checkpoints=checkpoints)
+    (*_, ref), states = _chained_steps(phi, lambda t: 1e-3, [*checkpoints, t_end],
+                                       1e-12 * max(1.0, t_end), scheme)
     assert out.time == ref.time and _rel_l2(out, ref) <= 1e-12
-    assert len(seen) == (5 if observe_dt else 2)   # start, 3 cadences, t_end
+    assert len(seen) == (5 if checkpoints else 2)   # start, 3 checkpoints, t_end
     for f in seen[1:]:
         assert _rel_l2(f, states[f.time]) <= 1e-12
 
@@ -339,10 +347,11 @@ def test_lens_trajectory_matches_chained_steps(grid1d, model, sigma):
     # growing, trimmed steps: the schedule doubles dt0 by t = 4
     dt0, targets = 0.05, (0.3, 2.55, 4.0)
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    snaps = _lens_trajectory(phi, targets, dt0)
+    snaps = []
+    evolve(phi, StepPlan(dt0), targets[-1], observers=(snaps.append,), checkpoints=targets)
     refs, _ = _chained_steps(phi, lambda t: _lens_schedule_dt(t, dt0), targets, 1e-12)
-    for (f, env), ref, target in zip(snaps, refs, targets):
-        assert f.time == ref.time and env.t == pytest.approx(target)
+    for f, ref, target in zip(snaps[1:], refs, targets):
+        assert f.time == ref.time and f.time == pytest.approx(target)
         assert _rel_l2(f, ref) <= 1e-12
 
 
@@ -358,8 +367,38 @@ def test_non_finite_mid_segment_raises_at_step_time(grid1d, monkeypatch, model):
     monkeypatch.setattr(propagators, "power_ratio", poisoned)
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     with pytest.raises(BlowUpError) as err:
-        if model is Model.RESCALED:
-            evolve(phi, StepPlan(1e-3), 0.02)
-        else:
-            _lens_trajectory(phi, [0.02], 1e-3)
+        evolve(phi, StepPlan(1e-3), 0.02)
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
+
+
+@pytest.mark.parametrize("model,sigma,dt0,targets", [
+    (Model.DIRECT, 1.0, 1e-3, (3e-3, 6.5e-3, 0.0105)),
+    (Model.RESCALED_LENS, 0.3, 0.05, (0.3, 2.55, 4.0)),
+], ids=["direct", "rescaled-lens"])
+def test_checkpoints_equal_chained_evolve(grid1d, model, sigma, dt0, targets):
+    # one march through the checkpoints is the chain of single-target
+    # evolve calls, bit for bit, on fixed and on growing lens steps
+    phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
+    snaps = []
+    evolve(phi, StepPlan(dt0), targets[-1], observers=(snaps.append,), checkpoints=targets)
+    cur = phi
+    for f, target in zip(snaps[1:], targets):
+        cur, _ = evolve(cur, StepPlan(dt0), target)
+        assert f.time == cur.time and np.array_equal(f.values, cur.values)
+    assert len(snaps) == len(targets) + 1
+
+
+@pytest.mark.parametrize("model", [Model.RESCALED, Model.RESCALED_LENS],
+                         ids=["rescaled", "rescaled-lens"])
+def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
+    # a slow, finite gain (|e^{-i dt (V + 1e-3 i)}|^2 = e^{2e-3 dt} per step)
+    # trips the same 1e-8 rule on either path, at the first observation past it
+    real = propagators.power_ratio
+    monkeypatch.setattr(propagators, "power_ratio", lambda rho, s: real(rho, s) + 1e-3j)
+    phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
+    seen = []
+    with pytest.raises(BlowUpError) as err:
+        evolve(phi, StepPlan(1e-3), 0.02, observers=(lambda f: seen.append(f.time),),
+               checkpoints=(5e-3, 1e-2))
+    assert err.value.time == pytest.approx(5e-3, abs=1e-15)
+    assert seen == [0.0, err.value.time]
