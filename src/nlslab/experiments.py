@@ -237,11 +237,11 @@ class RunRecord:
 
 # ---------------------------------------------------------------- helpers
 
-def _at_checkpoints(start: WaveField, dt: float, times) -> list[WaveField]:
-    """The field at each checkpoint time, from one evolve."""
+def _at_checkpoints(starts, dt: float, times) -> list[list[WaveField]]:
+    """Each start field at each checkpoint time, from one batched evolve."""
     snaps = []
-    evolve(start, StepPlan(dt), times[-1], observers=(snaps.append,), checkpoints=times)
-    return snaps[1:]
+    evolve(starts, StepPlan(dt), times[-1], observers=(snaps.append,), checkpoints=times)
+    return [list(run) for run in zip(*snaps[1:])]
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -338,11 +338,10 @@ def _run_local_continuity(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
-    times = cfg.times()
-    ref = _at_checkpoints(phi, cfg.dt, times)
+    ref, *runs = _at_checkpoints([phi, *(phi.with_tags(sigma=nu) for nu in nus)], cfg.dt,
+                                 cfg.times())
     rows = []
-    for nu in nus:
-        run = _at_checkpoints(phi.with_tags(sigma=nu), cfg.dt, times)
+    for nu, run in zip(nus, runs):
         sup = max(l2_distance(a, b) for a, b in zip(run, ref))
         rows.append((nu, abs(nu - base), sup))
     theta = _loglog_slope([r[1] for r in rows], [r[2] for r in rows])
@@ -423,7 +422,8 @@ def _run_scattering(cfg: ExperimentConfig):
                 defect_rows.append((s, i, d))
         else:
             # long-range control: forward run only, extraction must stall
-            out = extract_asymptotic(_at_checkpoints(phi, cfg.dt, cfg.times()), "+")
+            (run,) = _at_checkpoints([phi], cfg.dt, cfg.times())
+            out = extract_asymptotic(run, "+")
             hist, converged = out.residual_history, out.converged
         for i, r in enumerate(hist):
             rows.append((s, i, cfg.t0 * 2**i, r, converged))
@@ -457,15 +457,13 @@ def _run_uniform_w1(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     times = cfg.times()
-
-    def densities(s):
-        phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT_LENS)
-        return [density_from_field(f) for f in _at_checkpoints(phi, cfg.dt, times)]
-
-    ref = densities(base)
+    starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT_LENS)
+              for s in cfg.sigmas]
+    ref, *runs = ([density_from_field(f) for f in run]
+                  for run in _at_checkpoints(starts, cfg.dt, times))
     w_rows, sup_rows = [], []
-    for nu in nus:
-        ws = [w1_1d(a, b) for a, b in zip(densities(nu), ref)]
+    for nu, run in zip(nus, runs):
+        ws = [w1_1d(a, b) for a, b in zip(run, ref)]
         for t, w in zip(times, ws):
             w_rows.append((nu, t, w))
         i_sup = max(range(len(ws)), key=ws.__getitem__)
@@ -504,10 +502,11 @@ def _run_log_limit_local(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.LOG)
     times = cfg.times()
-    ref = _at_checkpoints(phi0, cfg.dt, times)
+    (ref,) = _at_checkpoints([phi0], cfg.dt, times)
+    runs = _at_checkpoints([phi0.with_tags(sigma=s, model=Model.RESCALED) for s in cfg.sigmas],
+                           cfg.dt, times)
     rows = []
-    for s in cfg.sigmas:
-        run = _at_checkpoints(phi0.with_tags(sigma=s, model=Model.RESCALED), cfg.dt, times)
+    for s, run in zip(cfg.sigmas, runs):
         sup = 0.0
         for t, a, b in zip(times, run, ref):
             sup = max(sup, l2_distance(a, b))
@@ -546,17 +545,15 @@ def _analyze_log_limit_local(cfg: ExperimentConfig, out_dir: str):
 def _run_log_limit_global(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     times = cfg.times()
-
-    def lens_run(s):
-        phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.RESCALED_LENS)
-        return _at_checkpoints(phi, cfg.dt, times)
-
-    ref = [density_from_field(f) for f in lens_run(0.0)]
+    starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.RESCALED_LENS)
+              for s in (0.0, *cfg.sigmas)]
+    log_run, *runs = _at_checkpoints(starts, cfg.dt, times)
+    ref = [density_from_field(f) for f in log_run]
     w_rows, sup_rows, pe_rows = [], [], []
-    for s in cfg.sigmas:
+    for s, run in zip(cfg.sigmas, runs):
         envelope = TauEnvelope(s, cfg.dim)
         ws = []
-        for f, rho0, t in zip(lens_run(s), ref, times):
+        for f, rho0, t in zip(run, ref, times):
             env = envelope.state(f.time)
             w = w1_1d(density_from_field(f), rho0)
             ws.append(w)
@@ -599,7 +596,8 @@ def _run_gaussian_profile(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    for f, t in zip(_at_checkpoints(phi, cfg.dt, times), times):
+    (run,) = _at_checkpoints([phi], cfg.dt, times)
+    for f, t in zip(run, times):
         w = w1_1d_dilated(density_from_field(f), gamma, PROFILE_DILATION)
         rows.append((t, envelope.tau(f.time), w,
                      w * math.sqrt(math.log(max(t, 1.0 + 1e-9)))))
@@ -628,7 +626,8 @@ def _run_sobolev_growth(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    for f, t in zip(_at_checkpoints(phi, cfg.dt, times), times):
+    (run,) = _at_checkpoints([phi], cfg.dt, times)
+    for f, t in zip(run, times):
         env = envelope.state(f.time)
         # direct-variable gradient norm, evaluated without leaving lens variables
         h1_sq = direct_gradient_norm_sq(f, env)
@@ -727,6 +726,11 @@ def verify(out_dir: str) -> dict:
         return {"ok": False, "status": record.status, "error": record.error,
                 "verdicts": [], "tampered": [], "mismatches": []}
     cfg = ExperimentConfig.from_json(json.dumps(record.config))
+    # the stored dict's own digest also covers older records with since-dropped keys
+    stored_digest = hashlib.sha256(json.dumps(record.config, sort_keys=True,
+                                              separators=(",", ":")).encode()).hexdigest()
+    if record.config_hash not in (stored_digest, cfg.digest):
+        raise VerificationError(f"config in {out_dir} does not match its config_hash")
     tampered = []
     for name in record.csv_paths:
         path = os.path.join(out_dir, record.csv_paths[name])

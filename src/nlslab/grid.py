@@ -216,9 +216,14 @@ def energy(field: WaveField, log_floor: float = 1e-300) -> float:
     antiderivative of the nonlinear multiplier, fixed so the vacuum has
     zero energy.
     """
+    return energy_from_gradient(field, gradient_norm_sq(field), log_floor)
+
+
+def energy_from_gradient(field: WaveField, grad_sq: float, log_floor: float = 1e-300) -> float:
+    """energy(field), given grad_sq = gradient_norm_sq(field) already taken."""
     g = field.grid
     rho = np.abs(field.values) ** 2
-    kin = 0.5 * gradient_norm_sq(field)
+    kin = 0.5 * grad_sq
     pot = float(g.integrate(_potential_density(rho, field.sigma, field.model, log_floor)).real)
     if field.model is Model.RESCALED_LENS:
         return kin + 0.25 * position_norm_sq(field) + pot

@@ -119,19 +119,15 @@ def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
     All runs share the datum phi, isolating the |nu - sigma|^theta term;
     theta_hat is the log-log slope of the sup against |nu - sigma|.
     """
-    times = list(times)
-
-    def profiles(s):
-        snaps = []
-        evolve(phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0), plan, times[-1],
-               observers=(snaps.append,), checkpoints=times)
-        return [free_conjugate(f) for f in snaps[1:]]
-
-    ref = profiles(sigma)
+    times, nu_values = list(times), list(nu_values)
+    snaps = []
+    evolve([phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0) for s in (sigma, *nu_values)],
+           plan, times[-1], observers=(snaps.append,), checkpoints=times)
+    ref, *runs = ([free_conjugate(f) for f in run] for run in zip(*snaps[1:]))
     rows = []
-    for nu in nu_values:
+    for nu, run in zip(nu_values, runs):
         diffs = []
-        for p_nu, p_sig in zip(profiles(nu), ref):
+        for p_nu, p_sig in zip(run, ref):
             delta = p_nu.with_values(p_nu.values - p_sig.values)
             diffs.append({"t": p_nu.time, "l2": l2_distance(p_nu, p_sig),
                           "sigma_norm": sigma_norm(delta)})

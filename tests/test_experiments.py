@@ -150,6 +150,20 @@ def test_verify_accepts_legacy_seed_key(ode_runs, tmp_path):
     assert verify(str(out))["ok"]
 
 
+def test_cli_verify_edited_config_exits_2(ode_runs, tmp_path, capsys):
+    # the ode-suite verdicts do not read sigmas, so only config_hash shows the edit
+    import shutil
+    base, _, _ = ode_runs
+    out = tmp_path / "run"
+    shutil.copytree(base / "a", out)
+    record = json.loads((out / "record.json").read_text())
+    record["config"]["sigmas"] = [0.2]
+    (out / "record.json").write_text(json.dumps(record))
+    assert cli_main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config_hash" in err and "Traceback" not in err
+
+
 def test_verify_reports_failed_run(tmp_path):
     out = str(tmp_path / "failing")
     cfg = ExperimentConfig(name="gaussian-profile", sigmas=(0.0,), n=128,

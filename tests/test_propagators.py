@@ -6,9 +6,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nlslab import (BlowUpError, EnvelopeState, GridError, Model, StepPlan,
-                    TauEnvelope, chevron_state, evolve, free_flow, gaussian_state,
-                    l2_distance, make_grid, mass, power_ratio, step_direct,
-                    step_lens, step_log, step_rescaled)
+                    TauEnvelope, chevron_state, energy, evolve, free_flow, gaussian_state,
+                    gradient_norm_sq, l2_distance, make_grid, mass, power_ratio,
+                    step_direct, step_lens, step_log, step_rescaled)
 from nlslab import propagators
 from nlslab.errors import EnvelopeError
 from nlslab.propagators import _lens_schedule_dt
@@ -402,3 +402,92 @@ def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
                checkpoints=(5e-3, 1e-2))
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
     assert seen == [0.0, err.value.time]
+
+
+# ------------------------------------------------------------- batched march
+
+_BATCH_SIGMAS = {Model.DIRECT: (1.0, 0.8, 1.2), Model.RESCALED: (0.5, 0.3, 0.7),
+                 Model.LOG: (0.0, 0.1, 0.2), Model.RESCALED_LENS: (0.3, 0.0, 0.1),
+                 Model.DIRECT_LENS: (0.8, 0.6, 1.0)}
+
+
+def _batch(grid, model, sigmas):
+    return [gaussian_state(grid, 1.0, sigma=s, model=model) for s in sigmas]
+
+
+def _assert_batch_equals_single_runs(fields, plan, t_end, checkpoints):
+    seen = []
+    finals, logs = evolve(fields, plan, t_end, observers=(seen.append,),
+                          checkpoints=checkpoints)
+    assert isinstance(finals, tuple) and len(finals) == len(logs) == len(fields)
+    for i, phi in enumerate(fields):
+        single = []
+        final, log = evolve(phi, plan, t_end, observers=(single.append,),
+                            checkpoints=checkpoints)
+        assert len(single) == len(seen)
+        for batch_snap, f in zip(seen, single):
+            assert batch_snap[i].time == f.time
+            assert batch_snap[i].sigma == f.sigma
+            assert np.array_equal(batch_snap[i].values, f.values)
+        assert np.array_equal(finals[i].values, final.values)
+        assert logs[i] == log
+
+
+@pytest.mark.parametrize("scheme", ["strang", "lie"])
+@pytest.mark.parametrize("model", list(_BATCH_SIGMAS), ids=[m.value for m in _BATCH_SIGMAS])
+def test_batched_evolve_equals_per_field_evolve(grid1d, model, scheme):
+    # one stacked march over three sigmas is the three single marches, bit for bit
+    fields = _batch(grid1d, model, _BATCH_SIGMAS[model])
+    _assert_batch_equals_single_runs(fields, StepPlan(1e-3, scheme=scheme), 0.0105,
+                                     (3e-3, 6e-3, 9e-3))
+
+
+def test_batched_evolve_splits_at_batch_points():
+    # 3 rows of 4096 points exceed BATCH_POINTS, so they march as a stack of
+    # two and a stack of one; the result is still bitwise the single marches
+    grid = make_grid(1, 4096, 40.0)
+    assert 3 * 4096 > propagators.BATCH_POINTS
+    fields = _batch(grid, Model.DIRECT, (1.0, 0.8, 1.2))
+    _assert_batch_equals_single_runs(fields, StepPlan(1e-3), 5e-3, (2e-3,))
+
+
+def test_batched_evolve_rejects_mismatched_fields(grid1d):
+    phi = gaussian_state(grid1d, 1.0, sigma=1.0)
+    other_grid = gaussian_state(make_grid(1, 128, 20.0), 1.0, sigma=1.0)
+    for bad in ([phi, other_grid], [phi, phi.with_tags(model=Model.RESCALED)],
+                [phi, phi.with_tags(time=0.5)], []):
+        with pytest.raises(GridError):
+            evolve(bad, StepPlan(1e-3), 1.0)
+
+
+def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
+    # only the sigma = 0.4 row gains mass; its own tripwire stops the batch
+    # at the first checkpoint
+    real = propagators.power_ratio
+    monkeypatch.setattr(propagators, "power_ratio",
+                        lambda rho, s: real(rho, s) + (1e-3j if s == 0.4 else 0.0))
+    fields = _batch(grid1d, Model.RESCALED, (0.3, 0.4, 0.5))
+    with pytest.raises(BlowUpError) as err:
+        evolve(fields, StepPlan(1e-3), 0.02, checkpoints=(5e-3, 1e-2))
+    assert err.value.time == pytest.approx(5e-3, abs=1e-15)
+
+
+def test_batched_snapshots_stay_frozen(grid1d):
+    # observed fields view the stack of their segment; later segments must
+    # never write into it
+    fields = _batch(grid1d, Model.RESCALED_LENS, _BATCH_SIGMAS[Model.RESCALED_LENS])
+    seen = []
+    evolve(fields, StepPlan(1e-3), 0.01, checkpoints=(2e-3, 5e-3),
+           observers=(lambda fs: seen.append((fs, [f.values.copy() for f in fs])),))
+    assert len(seen) == 4
+    for snaps, copies in seen[1:]:
+        for f, copy in zip(snaps, copies):
+            assert np.array_equal(f.values, copy)
+
+
+@pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
+def test_conservation_row_energy_matches_energy(grid1d, model, sigma):
+    phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model, phase_slope=0.7)
+    row = propagators.conservation_row(phi)
+    assert row["energy"] == pytest.approx(energy(phi), rel=1e-14, abs=0.0)
+    assert row["grad_norm"] ** 2 == pytest.approx(gradient_norm_sq(phi), rel=1e-14)
