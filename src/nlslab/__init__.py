@@ -17,12 +17,11 @@ from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, RunRecord,
                           default_config, run, sweep, verify)
 from .grid import (Density, Grid, Model, WaveField, edge_density, energy,
                    gaussian_state, gradient_norm_sq, l2_distance, lp_norm,
-                   make_grid, mass, position_norm_sq)
+                   make_grid, mass, position_norm_sq, power_ratio)
 from .metrics import (gaussian_gamma, sobolev_norm, w1_1d, w1_1d_dilated,
                       w1_radial, w1_sliced, w2_1d)
 from .propagators import (StepPlan, conservation_row, evolve, free_flow,
-                          power_ratio, step_direct, step_lens, step_log,
-                          step_rescaled)
+                          step_direct, step_lens, step_log, step_rescaled)
 from .rescaling import (PROFILE_DILATION, HydroFields, PseudoEnergy,
                         cazenave_haraux_gap,
                         continuity_residual, density_from_field,

@@ -50,9 +50,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [float(v) for v in args.values]
-    if args.axis == "N":
-        values = [int(v) for v in values]
+    values = [int(v) for v in args.values] if args.axis == "N" else args.values
     records = sweep(cfg, args.axis, values, args.out)
     worst = 0
     for v, rec in zip(values, records):
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="vary one parameter across runs")
     common(sp)
     sp.add_argument("--axis", required=True, choices=["sigma", "dt", "N", "L"])
-    sp.add_argument("--values", required=True, nargs="+")
+    sp.add_argument("--values", required=True, nargs="+", type=float)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="re-check a stored run from its CSVs")

@@ -677,7 +677,10 @@ def _now() -> str:
 
 def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
     """Execute one experiment; artifacts land in out_dir, record last."""
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise NlsLabError(f"cannot create output directory: {exc}") from None
     started = _now()
     record_path = os.path.join(out_dir, "record.json")
     try:
@@ -738,7 +741,12 @@ def verify(out_dir: str) -> dict:
             raise VerificationError(f"missing artifact {path}")
         if _file_sha256(path) != record.csv_hashes[name]:
             tampered.append(name)
-    verdicts = _ANALYZERS[cfg.name](cfg, out_dir)
+    try:
+        verdicts = _ANALYZERS[cfg.name](cfg, out_dir)
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        # only a changed artifact (its hash says which) should fail to parse
+        raise VerificationError(f"malformed artifact {', '.join(tampered) or '(none changed)'} "
+                                f"in {out_dir}: {type(exc).__name__}: {exc}") from None
     stored = {v["check"]: v["passed"] for v in record.verdicts}
     mismatches = [v["check"] for v in verdicts
                   if stored.get(v["check"]) != v["passed"]]

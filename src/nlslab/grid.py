@@ -198,33 +198,52 @@ def l2_distance(a: WaveField, b: WaveField) -> float:
     return float(np.sqrt(a.grid.integrate(np.abs(a.values - b.values) ** 2).real))
 
 
-def _potential_density(rho: np.ndarray, sigma: float, model: Model,
-                       log_floor: float = 1e-300) -> np.ndarray:
-    """Potential-energy integrand G(rho) with G'(rho) the nonlinear multiplier."""
+# eps of the log flow's phase ln(rho + eps) (Bao, Carles, Su & Tang, SIAM J.
+# Numer. Anal. 57 (2019)); the sigma > 0 phases and every energy are unregularised
+LOG_REGULARISATION = 1e-12
+
+
+def power_ratio(rho: np.ndarray, sigma: float) -> np.ndarray:
+    """(rho^sigma - 1) / sigma as expm1(sigma ln rho)/sigma, which keeps the digits the
+    naive form cancels at small sigma; ln rho at sigma = 0; the vacuum reads as 1e-300."""
+    logr = np.log(np.maximum(rho, 1e-300))
+    return logr if sigma == 0.0 else np.expm1(sigma * logr) / sigma
+
+
+def nonlinear_phase(model: Model, sigma: float):
+    """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model."""
+    if model is Model.DIRECT or model is Model.DIRECT_LENS:
+        return lambda rho: rho**sigma
+    if model is Model.LOG or sigma == 0.0:  # rescaled family degenerates to the log branch
+        return lambda rho: np.log(rho + LOG_REGULARISATION)
+    return lambda rho: power_ratio(rho, sigma)
+
+
+def _potential_density(rho: np.ndarray, sigma: float, model: Model) -> np.ndarray:
+    """Potential-energy integrand G(rho), G(0) = 0, with G' the phase V (unregularised)."""
     if model is Model.DIRECT or model is Model.DIRECT_LENS:
         return rho ** (sigma + 1.0) / (sigma + 1.0)
-    if model is Model.LOG or sigma == 0.0:
-        return rho * (np.log(rho + log_floor) - 1.0)
-    # rescaled family: G(rho) = (rho^{s+1} - (s+1) rho) / (s (s+1)), vacuum = 0
-    return (rho ** (sigma + 1.0) - (sigma + 1.0) * rho) / (sigma * (sigma + 1.0))
+    # rescaled family, log at s = 0: (rho^{s+1} - (s+1) rho) / (s (s+1)), no 1/s cancellation
+    s = 0.0 if model is Model.LOG else sigma
+    return rho * (power_ratio(rho, s) - 1.0) / (s + 1.0)
 
 
-def energy(field: WaveField, log_floor: float = 1e-300) -> float:
+def energy(field: WaveField) -> float:
     """Conserved energy of the field's model (lens models: frozen tau = 1).
 
     Kinetic part is spectral; the potential part is quadrature of the
     antiderivative of the nonlinear multiplier, fixed so the vacuum has
     zero energy.
     """
-    return energy_from_gradient(field, gradient_norm_sq(field), log_floor)
+    return energy_from_gradient(field, gradient_norm_sq(field))
 
 
-def energy_from_gradient(field: WaveField, grad_sq: float, log_floor: float = 1e-300) -> float:
+def energy_from_gradient(field: WaveField, grad_sq: float) -> float:
     """energy(field), given grad_sq = gradient_norm_sq(field) already taken."""
     g = field.grid
     rho = np.abs(field.values) ** 2
     kin = 0.5 * grad_sq
-    pot = float(g.integrate(_potential_density(rho, field.sigma, field.model, log_floor)).real)
+    pot = float(g.integrate(_potential_density(rho, field.sigma, field.model)).real)
     if field.model is Model.RESCALED_LENS:
         return kin + 0.25 * position_norm_sq(field) + pot
     if field.model is Model.DIRECT_LENS:

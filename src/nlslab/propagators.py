@@ -17,7 +17,7 @@ import numpy as np
 from .envelope import EnvelopeState, TauEnvelope, chevron_state
 from .errors import BlowUpError, EnvelopeError, GridError
 from .grid import (Model, WaveField, edge_density, energy_from_gradient, gradient_norm_sq,
-                   lp_norm, mass)
+                   lp_norm, mass, nonlinear_phase)
 
 MASS_DRIFT_TRIP = 1e-8
 LENS_DT_CAP = 0.25
@@ -33,7 +33,6 @@ class StepPlan:
 
     dt: float
     scheme: str = "strang"
-    log_floor: float = 1e-12
     potential_midpoint: bool = True
 
     def __post_init__(self):
@@ -41,29 +40,6 @@ class StepPlan:
             raise GridError(f"dt must be a nonzero finite real, got {self.dt}")
         if self.scheme not in ("strang", "lie"):
             raise GridError(f"unknown scheme {self.scheme!r}")
-        if not (0.0 <= self.log_floor <= 1e-6):
-            raise GridError(f"log_floor must lie in [0, 1e-6], got {self.log_floor}")
-
-
-def power_ratio(rho: np.ndarray, sigma: float) -> np.ndarray:
-    """(rho^sigma - 1) / sigma, stably, with the ln(rho) limit at sigma = 0.
-
-    Uses expm1(sigma ln rho)/sigma: the naive form loses all digits by
-    cancellation exactly in the small-sigma regime of interest.
-    """
-    logr = np.log(np.maximum(rho, 1e-300))
-    if sigma < 1e-8:
-        return logr
-    return np.expm1(sigma * logr) / sigma
-
-
-def _phase(model: Model, sigma: float, log_floor: float):
-    """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model."""
-    if model is Model.DIRECT or model is Model.DIRECT_LENS:
-        return lambda rho: rho**sigma
-    if model is Model.LOG or sigma == 0.0:  # rescaled family degenerates to the log branch
-        return lambda rho: np.log(rho + log_floor)
-    return lambda rho: power_ratio(rho, sigma)
 
 
 def _coefficients(model: Model, sigma: float, grid, plan: StepPlan, frozen_tau=None):
@@ -73,7 +49,7 @@ def _coefficients(model: Model, sigma: float, grid, plan: StepPlan, frozen_tau=N
     if model in (Model.DIRECT, Model.RESCALED) and not sigma > 0:
         raise GridError(f"{model.value} model needs sigma > 0 (sigma = 0 is the log "
                         f"model), got {sigma}")
-    phase = _phase(model, sigma, plan.log_floor)
+    phase = nonlinear_phase(model, sigma)
     tau_at, _ = _envelope(model, sigma, grid.dim)
     if tau_at is None:
         return lambda t, dt: (1.0, phase)
@@ -184,7 +160,7 @@ def step_rescaled(field: WaveField, plan: StepPlan, sigma: float | None = None) 
 
 
 def step_log(field: WaveField, plan: StepPlan) -> WaveField:
-    """One step of the logarithmic model, phase ln(|u|^2 + eps_reg)."""
+    """One step of the logarithmic model, phase ln(|u|^2 + LOG_REGULARISATION)."""
     if field.model is not Model.LOG:
         raise GridError(f"step_log needs a Log-model field, got {field.model}")
     return _one_step(field, plan, field.sigma)

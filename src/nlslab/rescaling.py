@@ -18,8 +18,7 @@ import numpy as np
 
 from .envelope import EnvelopeState
 from .errors import NormalizationError, ResolutionError
-from .grid import Density, Grid, WaveField, edge_density, mass
-from .propagators import power_ratio
+from .grid import Density, Grid, WaveField, edge_density, mass, power_ratio
 
 EDGE_SUPPORT_TOL = 1e-8
 
@@ -221,7 +220,7 @@ def direct_gradient_norm_sq(v: WaveField, env: EnvelopeState) -> float:
 def log_limit_source(z: np.ndarray, sigma: float) -> np.ndarray:
     """(|z|^{2 sigma} - 1) z / sigma - z ln|z|^2, the rescaled-vs-log defect."""
     rho = np.abs(z) ** 2
-    return (power_ratio(rho, sigma) - np.log(np.maximum(rho, 1e-300))) * z
+    return (power_ratio(rho, sigma) - power_ratio(rho, 0.0)) * z
 
 
 def dispersive_bound_check(times, fields, sigma: float) -> dict:

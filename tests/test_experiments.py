@@ -294,3 +294,39 @@ def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, text):
     assert cli_main(["verify", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR: malformed record") and "Traceback" not in err
+
+
+def test_cli_run_out_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main(["run", "ode-suite", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: cannot create output directory")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cells: cells[:2],                    # a short row
+    lambda cells: [cells[0], cells[1], "abc"],  # a text cell
+], ids=["short-row", "text-cell"])
+def test_cli_verify_malformed_csv_exits_2(tmp_path, capsys, edit):
+    out = str(tmp_path / "run")
+    assert run(_small_local_config(), out).passed
+    target = os.path.join(out, "sup_difference.csv")
+    lines = open(target).read().splitlines()
+    lines[1] = ",".join(edit(lines[1].split(",")))
+    open(target, "w").write("\n".join(lines) + "\n")
+    assert cli_main(["verify", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR: malformed artifact") and "sup_difference.csv" in err
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_non_numeric_values_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "ode-suite", "--axis", "dt", "--values", "abc",
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid float value: 'abc'" in err
+    assert not os.listdir(tmp_path)

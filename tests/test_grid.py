@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlslab import (BlowUpError, Density, GridError, Model, NormalizationError,
                     ResolutionError, WaveField, edge_density, energy,
                     gaussian_state, gradient_norm_sq, l2_distance, lp_norm,
                     make_grid, mass, position_norm_sq)
+from nlslab.grid import _potential_density, nonlinear_phase
 
 
 # ------------------------------------------------------------- construction
@@ -93,6 +96,41 @@ def test_energy_gaussian_closed_form(grid1d):
     expected = 0.25 / a**2 + 0.5 / (a * math.sqrt(2.0 * math.pi))
     assert abs(energy(phi) - expected) <= 1e-10
     assert abs(gradient_norm_sq(phi) - 0.5 / a**2) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None)
+@given(log10_sigma=st.floats(-12.0, -3.0), width=st.floats(0.5, 3.0),
+       amplitude=st.floats(0.2, 3.0))
+def test_energy_continuous_across_log_seam(grid1d, log10_sigma, width, amplitude):
+    # [DERIVED] G_s - G_0 = s rho (ln^2 rho / 2 - ln rho + 1) + O(s^2), so the
+    # rescaled energy reaches the log energy linearly in s, with no 1/s roundoff
+    sigma = 10.0**log10_sigma
+    phi = gaussian_state(grid1d, width, sigma=sigma, model=Model.RESCALED,
+                         amplitude=amplitude)
+    gap = energy(phi) - energy(phi.with_tags(sigma=0.0, model=Model.LOG))
+    rho = np.abs(phi.values) ** 2
+    ln_rho = np.log(rho, where=rho > 0, out=np.zeros_like(rho))
+    bound = sigma * float(grid1d.integrate(rho * (1.0 + np.abs(ln_rho) + ln_rho**2)))
+    assert abs(gap) <= bound
+
+
+_PHASE_SIGMAS = {Model.DIRECT: (0.05, 2.0), Model.RESCALED: (0.05, 1.0),
+                 Model.LOG: (0.0, 0.0), Model.RESCALED_LENS: (0.0, 1.0),
+                 Model.DIRECT_LENS: (0.05, 2.0)}
+
+
+@settings(derandomize=True, deadline=None)
+@given(model=st.sampled_from(list(Model)), fraction=st.floats(0.0, 1.0),
+       log10_rho=st.floats(-6.0, 1.0))
+def test_energy_density_derivative_is_the_phase(model, fraction, log10_rho):
+    # G' = V for every model: a central difference of the energy density
+    # matches the step's phase (the log phase's eps = 1e-12 moves it < 1e-6)
+    lo, hi = _PHASE_SIGMAS[model]
+    sigma, rho = lo + fraction * (hi - lo), 10.0**log10_rho
+    h = 1e-5 * rho
+    g_minus, g_plus = _potential_density(np.array([rho - h, rho + h]), sigma, model)
+    v = float(nonlinear_phase(model, sigma)(np.array([rho]))[0])
+    assert abs((g_plus - g_minus) / (2.0 * h) - v) <= 1e-6 * (1.0 + abs(v))
 
 
 def test_position_norm_gaussian(grid1d):

@@ -9,6 +9,7 @@ from nlslab import (BlowUpError, EnvelopeState, GridError, Model, StepPlan,
                     TauEnvelope, chevron_state, energy, evolve, free_flow, gaussian_state,
                     gradient_norm_sq, l2_distance, make_grid, mass, power_ratio,
                     step_direct, step_lens, step_log, step_rescaled)
+from nlslab import grid as grid_module
 from nlslab import propagators
 from nlslab.errors import EnvelopeError
 from nlslab.propagators import _lens_schedule_dt
@@ -105,8 +106,6 @@ def test_plan_validation():
         StepPlan(0.0)
     with pytest.raises(GridError):
         StepPlan(1e-3, scheme="verlet")
-    with pytest.raises(GridError):
-        StepPlan(1e-3, log_floor=1.0)
 
 
 # ------------------------------------------------------------- convergence
@@ -186,13 +185,15 @@ def test_log_model_matches_gaussian_ode_oracle(grid1d):
     assert err <= 1e-6
 
 
-def test_log_floor_insensitivity(grid1d):
+def test_log_floor_insensitivity(grid1d, monkeypatch):
     # [DERIVED] halving eps_reg perturbs the t = 1 state only through cells
     # with rho at the floor scale (amplitude ~ sqrt(eps)); the measured
     # sensitivity ~7e-8 sits well below the dt = 1e-3 splitting error
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
-    a, _ = evolve(phi, StepPlan(1e-3, log_floor=1e-12), 1.0)
-    b, _ = evolve(phi, StepPlan(1e-3, log_floor=5e-13), 1.0)
+    monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 1e-12)
+    a, _ = evolve(phi, StepPlan(1e-3), 1.0)
+    monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 5e-13)
+    b, _ = evolve(phi, StepPlan(1e-3), 1.0)
     assert l2_distance(a, b) <= 2e-7
 
 
@@ -358,13 +359,17 @@ def test_lens_trajectory_matches_chained_steps(grid1d, model, sigma):
 @pytest.mark.parametrize("model", [Model.RESCALED, Model.RESCALED_LENS],
                          ids=["evolve", "lens-trajectory"])
 def test_non_finite_mid_segment_raises_at_step_time(grid1d, monkeypatch, model):
-    real, calls = propagators.power_ratio, []
+    real, calls = propagators.nonlinear_phase, []
 
-    def poisoned(rho, sigma):  # the fifth step's phase turns non-finite
-        calls.append(sigma)
-        return real(rho, sigma) * (np.nan if len(calls) == 5 else 1.0)
+    def poisoned(m, sigma):  # the fifth step's phase turns non-finite
+        phase = real(m, sigma)
 
-    monkeypatch.setattr(propagators, "power_ratio", poisoned)
+        def stepped(rho):
+            calls.append(sigma)
+            return phase(rho) * (np.nan if len(calls) == 5 else 1.0)
+        return stepped
+
+    monkeypatch.setattr(propagators, "nonlinear_phase", poisoned)
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     with pytest.raises(BlowUpError) as err:
         evolve(phi, StepPlan(1e-3), 0.02)
@@ -393,8 +398,8 @@ def test_checkpoints_equal_chained_evolve(grid1d, model, sigma, dt0, targets):
 def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
     # a slow, finite gain (|e^{-i dt (V + 1e-3 i)}|^2 = e^{2e-3 dt} per step)
     # trips the same 1e-8 rule on either path, at the first observation past it
-    real = propagators.power_ratio
-    monkeypatch.setattr(propagators, "power_ratio", lambda rho, s: real(rho, s) + 1e-3j)
+    real = grid_module.power_ratio
+    monkeypatch.setattr(grid_module, "power_ratio", lambda rho, s: real(rho, s) + 1e-3j)
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     seen = []
     with pytest.raises(BlowUpError) as err:
@@ -463,8 +468,8 @@ def test_batched_evolve_rejects_mismatched_fields(grid1d):
 def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
     # only the sigma = 0.4 row gains mass; its own tripwire stops the batch
     # at the first checkpoint
-    real = propagators.power_ratio
-    monkeypatch.setattr(propagators, "power_ratio",
+    real = grid_module.power_ratio
+    monkeypatch.setattr(grid_module, "power_ratio",
                         lambda rho, s: real(rho, s) + (1e-3j if s == 0.4 else 0.0))
     fields = _batch(grid1d, Model.RESCALED, (0.3, 0.4, 0.5))
     with pytest.raises(BlowUpError) as err:
