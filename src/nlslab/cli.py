@@ -50,7 +50,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [int(v) for v in args.values] if args.axis == "N" else args.values
+    values = args.values
+    if args.axis == "N":
+        for v in values:
+            if not v.is_integer():
+                raise NlsLabError(f"--axis N needs integer values, got {v!r}")
+        values = [int(v) for v in values]
     records = sweep(cfg, args.axis, values, args.out)
     worst = 0
     for v, rec in zip(values, records):

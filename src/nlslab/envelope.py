@@ -16,7 +16,8 @@ tau - 1 in t, with the exact tau' = sqrt(g(tau)) and tau'' = 1/(2 tau^{a+1})
 at the panel edges.  tau' between edges is the quintic's derivative, so
 the first-integral residual measures the interpolation (about 1e-13)
 rather than vanishing by construction.  Queries hold no state and may
-come in any order.
+come in any order; an array of times is read in one vectorised lookup
+that gives each time's scalar value bit for bit.
 """
 from __future__ import annotations
 
@@ -129,6 +130,24 @@ class _Table:
         return (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5)))),
                 c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4 + x * 5.0 * c5))))
 
+    def at_times(self, times: np.ndarray) -> np.ndarray:
+        """tau - 1 at each of the times: `at` over an array, in one lookup."""
+        # numpy is imported on use: this is the package's first module, and loading
+        # numpy here, before experiments.py is compiled, raises peak RSS by about 1 MB
+        import numpy as np
+        valid = (times >= 0.0) & (times < math.inf)
+        if not valid.all():
+            raise EnvelopeError(f"envelope time must be finite and >= 0, got "
+                                f"{times[~valid][0]}")
+        if times.size and times.max() >= self.edges[-1]:
+            self._grow(float(times.max()))
+        # buffer views, released on return so that the table can grow again
+        edges = np.frombuffer(self.edges)
+        i = np.searchsorted(edges, times, side="right") - 1
+        x = times - edges[i]
+        c0, c1, c2, c3, c4, c5 = np.frombuffer(self.coef).reshape(-1, 6)[i].T
+        return c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5))))
+
 
 @functools.lru_cache(maxsize=32)
 def _table(a: float) -> _Table:
@@ -151,14 +170,24 @@ class TauEnvelope:
         return EnvelopeState(t=t, tau=1.0 + u, tau_dot=slope, sigma=self.sigma, dim=self.dim)
 
     def tau(self, t: float) -> float:
-        """tau_sigma(t) alone: the read a lens step makes."""
+        """tau_sigma(t) alone."""
         return 1.0 + self._table.at(t)[0]
+
+    def taus(self, times: np.ndarray) -> np.ndarray:
+        """tau_sigma at each of the times, each bitwise tau(t): the read lens steps make."""
+        return 1.0 + self._table.at_times(times)
 
 
 def chevron_state(t: float, sigma: float, dim: int) -> EnvelopeState:
     """The closed-form envelope <t> = sqrt(1 + t^2) used by the direct-lens model."""
     tau = math.sqrt(1.0 + t * t)
     return EnvelopeState(t=t, tau=tau, tau_dot=t / tau, sigma=sigma, dim=dim)
+
+
+def chevron_taus(times: np.ndarray) -> np.ndarray:
+    """<t> = sqrt(1 + t^2) at each of the times, each bitwise chevron_state's tau."""
+    import numpy as np  # on use, as in _Table.at_times
+    return np.sqrt(1.0 + times * times)
 
 
 def _sorted_grid(t_grid) -> list[float]:

@@ -90,6 +90,26 @@ class Grid:
         kx, ky = np.meshgrid(self.k, self.k, indexing="ij", sparse=True)
         return _frozen(np.broadcast_to(kx**2 + ky**2, self.shape).copy())
 
+    @cached_property
+    def _k_sq_folded(self):
+        """(k_sq on the first N/2 + 1 indices of each axis, flattened; the index of
+        each grid point's value in it).  k_sq is even in each wavenumber, bitwise,
+        so those indices hold every value it takes."""
+        half, j = self.n // 2 + 1, np.arange(self.n)
+        fold = np.minimum(j, self.n - j)
+        values = self.k_sq[(slice(0, half),) * self.dim].ravel()
+        index = fold if self.dim == 1 else fold[:, None] * half + fold
+        return _frozen(values), _frozen(index)
+
+    def kinetic_multiplier(self, weights) -> np.ndarray:
+        """exp(-i w |k|^2 / 2) for each weight w, stacked as (len(weights), *shape).
+
+        exp runs on the N/2 + 1 values per axis that |k|^2 takes and is taken
+        back to the grid, so each value is that of the full evaluation."""
+        values, index = self._k_sq_folded
+        table = np.exp(np.multiply.outer([-0.5j * w for w in weights], values))
+        return np.take(table, index, axis=1)
+
     def integrate(self, values: np.ndarray) -> float | complex:
         return self.cell_volume * values.sum()
 
@@ -203,20 +223,52 @@ def l2_distance(a: WaveField, b: WaveField) -> float:
 LOG_REGULARISATION = 1e-12
 
 
-def power_ratio(rho: np.ndarray, sigma: float) -> np.ndarray:
+def power_ratio(rho: np.ndarray, sigma) -> np.ndarray:
     """(rho^sigma - 1) / sigma as expm1(sigma ln rho)/sigma, which keeps the digits the
-    naive form cancels at small sigma; ln rho at sigma = 0; the vacuum reads as 1e-300."""
+    naive form cancels at small sigma; ln rho at sigma = 0; the vacuum reads as 1e-300.
+    sigma may also be an array of positive sigmas that broadcasts against rho."""
     logr = np.log(np.maximum(rho, 1e-300))
-    return logr if sigma == 0.0 else np.expm1(sigma * logr) / sigma
+    return logr if np.ndim(sigma) == 0 and sigma == 0.0 else np.expm1(sigma * logr) / sigma
 
 
-def nonlinear_phase(model: Model, sigma: float):
-    """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model."""
+def _log_phase(rho: np.ndarray) -> np.ndarray:
+    return np.log(rho + LOG_REGULARISATION)
+
+
+def nonlinear_phase(model: Model, sigma):
+    """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model.
+
+    sigma is a float, or one sigma per row of a stacked rho (rows, *shape) as an
+    array that broadcasts against it, (rows, 1, ...); each row's V is then bitwise
+    the V of its own float sigma."""
+    column = np.asarray(sigma, dtype=float)
     if model is Model.DIRECT or model is Model.DIRECT_LENS:
-        return lambda rho: rho**sigma
-    if model is Model.LOG or sigma == 0.0:  # rescaled family degenerates to the log branch
-        return lambda rho: np.log(rho + LOG_REGULARISATION)
-    return lambda rho: power_ratio(rho, sigma)
+        if column.ndim == 0:
+            return lambda rho: rho**sigma
+        # row by row: ** with a float exponent takes numpy's square and sqrt fast
+        # paths, which an array of exponents would not
+        exponents = column.ravel().tolist()
+
+        def direct(rho):
+            v = np.empty_like(rho)
+            for out, r, s in zip(v, rho, exponents):
+                out[...] = r**s
+            return v
+        return direct
+    zero = column == 0.0   # rescaled family degenerates to the log branch at sigma = 0
+    if model is Model.LOG or zero.all():
+        return _log_phase
+    if not zero.any():
+        return lambda rho: power_ratio(rho, column)
+    logs, powers = np.flatnonzero(zero), np.flatnonzero(~zero)
+    positive = column[powers]
+
+    def mixed(rho):
+        v = np.empty_like(rho)
+        v[logs] = _log_phase(rho[logs])
+        v[powers] = power_ratio(rho[powers], positive)
+        return v
+    return mixed
 
 
 def _potential_density(rho: np.ndarray, sigma: float, model: Model) -> np.ndarray:

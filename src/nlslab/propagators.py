@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeState, TauEnvelope, chevron_state
+from .envelope import EnvelopeState, TauEnvelope, chevron_state, chevron_taus
 from .errors import BlowUpError, EnvelopeError, GridError
 from .grid import (Model, WaveField, edge_density, energy_from_gradient, gradient_norm_sq,
                    lp_norm, mass, nonlinear_phase)
@@ -42,42 +42,58 @@ class StepPlan:
             raise GridError(f"unknown scheme {self.scheme!r}")
 
 
-def _coefficients(model: Model, sigma: float, grid, plan: StepPlan, frozen_tau=None):
-    """(t, dt) -> (kinetic weight, potential rho -> V) for one step of `model`.
-    Lens models freeze both at the envelope's tau at the step midpoint (the step
-    start when plan.potential_midpoint is off), or at frozen_tau if given."""
-    if model in (Model.DIRECT, Model.RESCALED) and not sigma > 0:
-        raise GridError(f"{model.value} model needs sigma > 0 (sigma = 0 is the log "
-                        f"model), got {sigma}")
-    phase = nonlinear_phase(model, sigma)
-    tau_at, _ = _envelope(model, sigma, grid.dim)
-    if tau_at is None:
-        return lambda t, dt: (1.0, phase)
-    if frozen_tau is not None:
-        tau_at = lambda t: frozen_tau
-    r2, a = grid.radius_sq, grid.dim * sigma
+def _coefficients(model: Model, sigmas, grid, plan: StepPlan, frozen_tau=None):
+    """(phase, schedule) of a stack of `model` rows, one sigma per row.
+
+    phase maps the stacked rho = |u|^2 to the stacked potential V.
+    schedule(times, dts) gives, for the steps of length dts starting at times,
+    (kappa, nl, harm): each row's kinetic weight as a (steps, rows) array and,
+    for lens models, the weights of V and of |y|^2 in the potential
+    nl V + harm |y|^2 as (steps, rows, 1, ...) arrays (None otherwise).  Lens
+    models freeze them at the envelope's tau at each step midpoint (the step
+    start when plan.potential_midpoint is off), or at frozen_tau if given; the
+    envelope is read once per row for all the steps, and each tau is turned
+    into coefficients by the same scalar arithmetic as a single step.
+    """
+    for s in sigmas if model in (Model.DIRECT, Model.RESCALED) else ():
+        if not s > 0:
+            raise GridError(f"{model.value} model needs sigma > 0 (sigma = 0 is the log "
+                            f"model), got {s}")
+    column = (len(sigmas),) + (1,) * grid.dim
+    phase = nonlinear_phase(model, np.reshape(np.array(sigmas, dtype=float), column))
+    readers = [_envelope(model, s, grid.dim)[0] for s in sigmas]
+    if readers[0] is None:
+        return phase, lambda times, dts: (np.ones((len(dts), len(sigmas))), None, None)
     midpoint = 0.5 if plan.potential_midpoint else 0.0
 
-    def lens(t, dt):
-        tau = tau_at(t + midpoint * dt)
-        if tau <= 0:
-            raise EnvelopeError(f"envelope tau must be positive, got {tau}")
-        nl = tau ** (-a)
-        # direct-lens: i v_t + Lap v/(2<t>^2) = |y|^2 v/(2<t>^2) + <t>^{-d sigma} |v|^{2s} v
-        harm = 0.25 * nl if model is Model.RESCALED_LENS else 0.5 / tau**2
-        return 1.0 / tau**2, lambda rho: harm * r2 + nl * phase(rho)
-    return lens
+    def schedule(times, dts):
+        mids = np.array(times) + midpoint * np.array(dts)
+        kappa, nl, harm = [], [], []
+        for read, s in zip(readers, sigmas):
+            taus = [frozen_tau] * len(dts) if frozen_tau is not None else read(mids).tolist()
+            if any(tau <= 0 for tau in taus):
+                raise EnvelopeError(f"envelope tau must be positive, got {min(taus)}")
+            a = grid.dim * s
+            row_nl = np.array([tau ** (-a) for tau in taus])
+            row_sq = np.array([tau**2 for tau in taus])
+            kappa.append(1.0 / row_sq)
+            nl.append(row_nl)
+            # direct-lens: i v_t + Lap v/(2<t>^2) = |y|^2 v/(2<t>^2) + <t>^{-d sigma} |v|^{2s} v
+            harm.append(0.25 * row_nl if model is Model.RESCALED_LENS else 0.5 / row_sq)
+        shape = (len(dts),) + column
+        return (np.array(kappa).T, np.array(nl).T.reshape(shape),
+                np.array(harm).T.reshape(shape))
+    return phase, schedule
 
 
 def _envelope(model: Model, sigma: float, dim: int):
-    """(t -> tau, t -> EnvelopeState) of a lens model; (None, None) for the
-    autonomous models."""
+    """(times -> tau array, t -> EnvelopeState) of a lens model; (None, None)
+    for the autonomous models."""
     if model is Model.DIRECT_LENS:
-        return (lambda t: chevron_state(t, sigma, dim).tau,
-                lambda t: chevron_state(t, sigma, dim))
+        return chevron_taus, lambda t: chevron_state(t, sigma, dim)
     if model is Model.RESCALED_LENS:
         env = TauEnvelope(sigma, dim)
-        return env.tau, env.state
+        return env.taus, env.state
     return None, None
 
 
@@ -97,51 +113,58 @@ def _step_sizes(t: float, t_end: float, dt_of, tol: float):
         t += dt
 
 
-def _march(values: np.ndarray, grid, t: float, steps, coefficients, scheme: str):
+def _march(values: np.ndarray, grid, t: float, dts, coefficients, scheme: str):
     """Split-step the stacked rows `values` (rows, *grid.shape) from time t through
-    `steps`; returns (values, t) at the end.
+    the steps dts; returns (values, t) at the end.
 
-    coefficients[i](t, dt) gives row i's kinetic weight kappa and potential.
-    Lie kicks by kappa dt, then applies the phase.  Strang's adjacent half
-    kicks commute, so each pair is applied as one multiplier: two FFTs per
-    step for the whole stack, with the full state formed only at the segment end.
+    coefficients is the stack's (phase, schedule) from _coefficients.  Lie kicks
+    by kappa dt, then applies the phase.  Strang's adjacent half kicks commute,
+    so each pair is applied as one multiplier: two FFTs per step for the whole
+    stack, with the full state formed only at the segment end.  Each pointwise
+    operation is one pass over the stack.
     """
+    if not dts:
+        return values, t
+    phase, schedule = coefficients
+    times = [t]
+    for dt in dts:
+        times.append(times[-1] + dt)
+    kappa, nl, harm = schedule(times[:-1], dts)
+    dt_column = np.array(dts)[:, None]
+    if scheme == "strang":
+        half = 0.5 * kappa * dt_column
+        weights, pending = half.copy(), half[-1]
+        weights[1:] += half[:-1]
+    else:
+        weights, pending = kappa * dt_column, None
     # fixed dt repeats a few weights; lens weights never repeat, so keep few
-    multiplier = functools.lru_cache(maxsize=4)(
-        lambda ws: np.exp(np.multiply.outer([-0.5j * w for w in ws], grid.k_sq)))
+    multiplier = functools.lru_cache(maxsize=4)(grid.kinetic_multiplier)
 
     def kick(v, ws):
         vhat = grid.fft(v)
-        vhat *= multiplier(ws)
+        vhat *= multiplier(tuple(ws.tolist()))
         return grid.ifft(vhat)
 
-    strang = scheme == "strang"
-    pending = None   # Strang half kicks owed by the previous step, one per row
-    for dt in steps:
-        coeffs = [c(t, dt) for c in coefficients]
-        if strang:
-            half = [0.5 * kappa * dt for kappa, _ in coeffs]
-            weights = half if pending is None else [p + h for p, h in zip(pending, half)]
-            pending = half
-        else:
-            weights = [kappa * dt for kappa, _ in coeffs]
-        values = kick(values, tuple(weights))
-        rho = np.abs(values) ** 2
-        theta = np.array([dt * potential(r) for (_, potential), r in zip(coeffs, rho)])
+    for k, dt in enumerate(dts):
+        values = kick(values, weights[k])
+        theta = phase(np.abs(values) ** 2)
+        if nl is not None:
+            theta = nl[k] * theta
+            theta += harm[k] * grid.radius_sq
+        theta *= dt
         # e^{-i theta}: cos and sin cost less than exp of an imaginary array
-        values = values * (np.cos(theta) - 1j * np.sin(theta))
-        t += dt
+        values *= np.cos(theta) - 1j * np.sin(theta)
         if not np.isfinite(values.sum()):
-            raise BlowUpError("NaN/Inf after step", time=t)
+            raise BlowUpError("NaN/Inf after step", time=times[k + 1])
     if pending is not None:
-        values = kick(values, tuple(pending))
-    return values, t
+        values = kick(values, pending)
+    return values, times[-1]
 
 
 def _one_step(field: WaveField, plan: StepPlan, sigma: float, frozen_tau=None) -> WaveField:
-    coefficients = _coefficients(field.model, sigma, field.grid, plan, frozen_tau)
-    values, t = _march(field.values[None], field.grid, field.time, (plan.dt,),
-                       (coefficients,), plan.scheme)
+    coefficients = _coefficients(field.model, (sigma,), field.grid, plan, frozen_tau)
+    values, t = _march(field.values[None], field.grid, field.time, [plan.dt],
+                       coefficients, plan.scheme)
     return field.with_values(values[0], time=t)
 
 
@@ -256,19 +279,19 @@ def evolve(fields, plan: StepPlan, t_end: float, observers=(), checkpoints=()):
             if abs(row["mass"] - m0) > MASS_DRIFT_TRIP * m0:
                 raise BlowUpError(f"mass drift tripwire at t = {f.time:.6g}", time=f.time)
 
-    coefficients = [_coefficients(f.model, f.sigma, grid, plan) for f in fields]
     dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if env_ats[0] else (lambda t: plan.dt)
     per_stack = max(1, BATCH_POINTS // math.prod(grid.shape))
-    chunks = range(0, len(fields), per_stack)
+    chunks = [slice(lo, lo + per_stack) for lo in range(0, len(fields), per_stack)]
+    coefficients = [_coefficients(first.model, [f.sigma for f in fields[rows]], grid, plan)
+                    for rows in chunks]
     observe(fields)
     values, t = np.stack([f.values for f in fields]), first.time
     for target in targets:
+        dts = list(_step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target))))
         marched = []
-        for lo in chunks:
-            steps = _step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target)))
-            rows, t_next = _march(values[lo:lo + per_stack], grid, t, steps,
-                                  coefficients[lo:lo + per_stack], plan.scheme)
-            marched.append(rows)
+        for rows, stack in zip(chunks, coefficients):
+            marched_rows, t_next = _march(values[rows], grid, t, dts, stack, plan.scheme)
+            marched.append(marched_rows)
         # a fresh stack per segment: the fields observed so far view the old one
         values, t = np.concatenate(marched), t_next
         current = tuple(f.with_values(v, time=t) for f, v in zip(fields, values))

@@ -1,6 +1,7 @@
 """Envelope ODE tests: first integrals, closed forms, reparametrization."""
 import math
 
+import numpy as np
 import pytest
 
 from nlslab import envelope
@@ -177,3 +178,22 @@ def test_integrate_grids_validated():
     for t in (-1e-3, math.nan, math.inf):
         with pytest.raises(EnvelopeError):
             TauEnvelope(0.1, 1).state(t)
+
+
+def test_vectorised_reads_equal_scalar_reads():
+    # one array read is each scalar read, bit for bit, also when the read
+    # itself grows the table (a fresh exponent, sorted times past its reach)
+    times = np.sort(np.random.default_rng(4).uniform(0.0, 300.0, 3000))
+    for sigma, dim in ((0.0371, 1), (0.0371, 2), (1.2917, 1), (0.0, 1)):
+        env = TauEnvelope(sigma, dim)
+        for chunk in np.array_split(times, 6):
+            reach = env._table.edges[-1]
+            taus = env.taus(chunk)
+            if sigma:   # an exponent no other test reads: every chunk grows it
+                assert reach <= chunk[-1] < env._table.edges[-1]
+            assert np.array_equal(taus, [env.tau(t) for t in chunk])
+    assert np.array_equal(envelope.chevron_taus(times),
+                          [chevron_state(t, 0.3, 1).tau for t in times])
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(EnvelopeError):
+            TauEnvelope(0.1, 1).taus(np.array([1.0, bad]))

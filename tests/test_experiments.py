@@ -330,3 +330,13 @@ def test_cli_sweep_non_numeric_values_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "invalid float value: 'abc'" in err
     assert not os.listdir(tmp_path)
+
+
+def test_cli_sweep_non_integer_n_exits_2(tmp_path, capsys):
+    # N = 128.9 must not run under the truncated name N = 128
+    code = cli_main(["sweep", "gaussian-profile", "--axis", "N", "--values", "128.9",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "ERROR: --axis N needs integer values, got 128.9\n"
+    assert "PASS" not in captured.out and not os.listdir(tmp_path)

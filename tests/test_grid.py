@@ -194,3 +194,40 @@ def test_grid_2d_integrate():
     g = make_grid(2, 32, 8.0)
     vals = np.exp(-g.radius_sq)
     assert float(g.integrate(vals)) == pytest.approx(math.pi, rel=1e-10)
+
+
+# ------------------------------------------------------------- stacked march pins
+
+_STACK_SIGMAS = {Model.DIRECT: (0.5, 1.0, 2.0, 0.7), Model.RESCALED: (0.5, 1e-9, 1.0, 0.05),
+                 Model.LOG: (0.0, 0.1), Model.RESCALED_LENS: (0.1, 0.0, 0.05, 0.0, 0.01),
+                 Model.DIRECT_LENS: (2.0, 0.5, 1.0)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
+def test_stacked_phase_equals_per_row_phase(model, dim):
+    # one call over a column of sigmas is each row's own scalar-sigma call, bit
+    # for bit: the sigma = 0 rows of a rescaled stack take the log branch, and
+    # the direct rows keep ** at sigma = 0.5 and 2 (numpy's sqrt and square)
+    sigmas = _STACK_SIGMAS[model]
+    rng = np.random.default_rng(9)
+    rho = rng.random((len(sigmas),) + (16,) * dim) * 3.0
+    rho.reshape(len(sigmas), -1)[:, :3] = (0.0, 1e-310, 1e-20)
+    column = np.reshape(sigmas, (-1,) + (1,) * dim)
+    stacked = nonlinear_phase(model, column)(rho)
+    assert stacked.shape == rho.shape
+    for row, sigma, r in zip(stacked, sigmas, rho):
+        assert np.array_equal(row, nonlinear_phase(model, sigma)(r))
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 64, 7.0), make_grid(2, 32, 5.0)],
+                         ids=["1d", "2d"])
+def test_kinetic_multiplier_equals_full_exponential(grid):
+    # exp on the N/2 + 1 values per axis of |k|^2, taken back to the grid, is
+    # the full exp
+    weights = (1e-3, 0.37, 2.5, 0.37)
+    table = grid.kinetic_multiplier(weights)
+    assert table.shape == (len(weights),) + grid.shape
+    for row, w in zip(table, weights):
+        assert np.array_equal(row, np.exp(-0.5j * w * grid.k_sq))
+    assert grid._k_sq_folded[0].size == (grid.n // 2 + 1) ** grid.dim

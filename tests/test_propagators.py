@@ -467,10 +467,10 @@ def test_batched_evolve_rejects_mismatched_fields(grid1d):
 
 def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
     # only the sigma = 0.4 row gains mass; its own tripwire stops the batch
-    # at the first checkpoint
+    # at the first checkpoint (s is the stack's column of sigmas)
     real = grid_module.power_ratio
     monkeypatch.setattr(grid_module, "power_ratio",
-                        lambda rho, s: real(rho, s) + (1e-3j if s == 0.4 else 0.0))
+                        lambda rho, s: real(rho, s) + 1e-3j * (s == 0.4))
     fields = _batch(grid1d, Model.RESCALED, (0.3, 0.4, 0.5))
     with pytest.raises(BlowUpError) as err:
         evolve(fields, StepPlan(1e-3), 0.02, checkpoints=(5e-3, 1e-2))
