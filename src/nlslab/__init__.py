@@ -18,17 +18,12 @@ from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, RunRecord,
 from .grid import (Density, Grid, Model, WaveField, edge_density, energy,
                    gaussian_state, gradient_norm_sq, l2_distance, lp_norm,
                    make_grid, mass, position_norm_sq, power_ratio)
-from .metrics import (gaussian_gamma, sobolev_norm, w1_1d, w1_1d_dilated,
-                      w1_radial, w1_sliced, w2_1d)
-from .propagators import (StepPlan, conservation_row, evolve, free_flow,
-                          step_direct, step_lens, step_log, step_rescaled)
+from .metrics import gaussian_gamma, sobolev_norm, w1_1d, w1_1d_dilated, w2_1d
+from .propagators import StepPlan, conservation_row, evolve, free_flow, step
 from .rescaling import (PROFILE_DILATION, HydroFields, PseudoEnergy,
-                        cazenave_haraux_gap,
-                        continuity_residual, density_from_field,
+                        cazenave_haraux_gap, continuity_residual, density_from_field,
                         direct_gradient_norm_sq, dispersive_bound_check, hydro,
-                        lens_backward, lens_forward, log_limit_source,
-                        normalized_density, pseudo_energy, spectral_rescale)
+                        log_limit_source, pseudo_energy)
 from .scattering import (AsymptoticState, extract_asymptotic, free_conjugate,
                          interaction_picture_continuity, scattering_map,
                          sigma_norm, strauss_exponent)
-from .snapshots import density_csv, read_snapshot, write_snapshot

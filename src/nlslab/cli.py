@@ -49,16 +49,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    values = args.values
-    if args.axis == "N":
-        for v in values:
-            if not v.is_integer():
-                raise NlsLabError(f"--axis N needs integer values, got {v!r}")
-        values = [int(v) for v in values]
-    records = sweep(cfg, args.axis, values, args.out)
+    records = sweep(_load_config(args), args.axis, args.values, args.out)
     worst = 0
-    for v, rec in zip(values, records):
+    for v, rec in zip(args.values, records):
         if rec.status != "complete":
             print(f"{args.axis}={format_value(v)}: ERROR ({rec.stage}) {rec.error}")
             worst = 2

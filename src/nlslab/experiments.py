@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import tempfile
 import time as _time
@@ -63,6 +64,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise GridError(f"unknown experiment {self.name!r}")
+        for key in ("dim", "n", "n_times"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not float(value).is_integer():
+                raise GridError(f"invalid config: {key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
+        if self.n_times < 1:
+            raise GridError(f"invalid config: n_times must be >= 1, got {self.n_times}")
         if not self.sigmas:
             raise GridError("config needs a nonempty sigma list")
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
@@ -712,14 +721,15 @@ def sweep(base: ExperimentConfig, axis: str, values, out_dir: str) -> list:
     field_map = {"sigma": "sigmas", "dt": "dt", "N": "n", "L": "half_length"}
     if axis not in field_map:
         raise GridError(f"sweep axis must be one of {sorted(field_map)}, got {axis!r}")
-    records = []
-    for i, v in enumerate(values):
+
+    def config(v):
         if axis == "sigma":
-            cfg = replace(base, sigmas=tuple(v) if isinstance(v, (tuple, list)) else (float(v),))
-        else:
-            cfg = replace(base, **{field_map[axis]: v})
-        records.append(run(cfg, os.path.join(out_dir, f"{axis}-{i:03d}")))
-    return records
+            return replace(base, sigmas=tuple(v) if isinstance(v, (tuple, list)) else (float(v),))
+        return replace(base, **{field_map[axis]: v})
+
+    # every config is built, and so validated, before the first run starts
+    configs = [config(v) for v in values]
+    return [run(cfg, os.path.join(out_dir, f"{axis}-{i:03d}")) for i, cfg in enumerate(configs)]
 
 
 def verify(out_dir: str) -> dict:

@@ -130,7 +130,10 @@ class Grid:
 
 
 def make_grid(dim: int, n: int, half_length: float) -> Grid:
-    """Build a periodic grid; rejects non-power-of-two N and unsupported dim."""
+    """Build a periodic grid; rejects non-integral or non-power-of-two N and
+    unsupported dim."""
+    if not float(n).is_integer():
+        raise GridError(f"N must be an integer, got {n}")
     return Grid(dim=dim, n=int(n), half_length=float(half_length))
 
 

@@ -1,5 +1,5 @@
-"""Distances and norms: 1D-exact Wasserstein, sliced/radial estimators,
-homogeneous Sobolev norms, and the Gaussian reference profile.
+"""Distances and norms: 1D-exact Wasserstein, homogeneous Sobolev norms,
+and the Gaussian reference profile.
 
 W_p in one dimension is computed exactly for piecewise-linear CDFs by
 integrating the quantile difference over the merged breakpoint set:
@@ -140,60 +140,6 @@ def w2_1d(f: Density, g: Density) -> float:
     if w1 > w2 + 1e-12:
         raise AssertionError(f"W1 = {w1} exceeds W2 = {w2}")
     return w2
-
-
-def _project_masses(f: Density, direction: np.ndarray, n_bins: int):
-    X, Y = np.meshgrid(f.grid.x, f.grid.x, indexing="ij")
-    proj = (direction[0] * X + direction[1] * Y).ravel()
-    masses = (f.grid.cell_volume * f.values).ravel()
-    span = f.grid.half_length * math.sqrt(2.0)
-    hist, edges = np.histogram(proj, bins=n_bins, range=(-span, span), weights=masses)
-    return edges, hist
-
-
-def w1_sliced(f: Density, g: Density, n_slices: int = 64, seed: int = 0):
-    """Monte Carlo sliced-W1 estimate for d = 2; returns (estimate, stderr).
-
-    d = 1 inputs are redirected to the exact routine (stderr 0).
-    """
-    if f.grid.dim == 1:
-        return w1_1d(f, g), 0.0
-    if n_slices < 16:
-        raise GridError(f"need at least 16 slices, got {n_slices}")
-    for d in (f, g):
-        _require_density(d)
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(0.0, math.pi, size=n_slices)
-    n_bins = 2 * f.grid.n
-    vals = []
-    for th in thetas:
-        e = np.array([math.cos(th), math.sin(th)])
-        edges_f, mf = _project_masses(f, e, n_bins)
-        edges_g, mg = _project_masses(g, e, n_bins)
-        w1, _ = _wp_pair(QuantileRep.from_masses(edges_f, np.maximum(mf, 0.0)),
-                         QuantileRep.from_masses(edges_g, np.maximum(mg, 0.0)))
-        vals.append(w1)
-    vals = np.asarray(vals)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_slices))
-
-
-def w1_radial(f: Density, g: Density, n_bins: int | None = None) -> float:
-    """Exact W1 for radially symmetric densities via the radial mass profile."""
-    if f.grid.dim == 1:
-        return w1_1d(f, g)
-    n_bins = n_bins or 4 * f.grid.n
-    rmax = f.grid.half_length * math.sqrt(2.0)
-
-    def radial_rep(d: Density) -> QuantileRep:
-        r = np.sqrt(d.grid.radius_sq).ravel()
-        masses = (d.grid.cell_volume * d.values).ravel()
-        hist, edges = np.histogram(r, bins=n_bins, range=(0.0, rmax), weights=masses)
-        return QuantileRep.from_masses(edges, np.maximum(hist, 0.0))
-
-    for d in (f, g):
-        _require_density(d)
-    w1, _ = _wp_pair(radial_rep(f), radial_rep(g))
-    return w1
 
 
 def sobolev_norm(field, s: float, grid: Grid | None = None,

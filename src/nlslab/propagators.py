@@ -29,11 +29,10 @@ BATCH_POINTS = 8192
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Time-step parameters shared by all steppers."""
+    """Time-step parameters of `step` and `evolve`."""
 
     dt: float
     scheme: str = "strang"
-    potential_midpoint: bool = True
 
     def __post_init__(self):
         if self.dt == 0 or not math.isfinite(self.dt):
@@ -42,7 +41,7 @@ class StepPlan:
             raise GridError(f"unknown scheme {self.scheme!r}")
 
 
-def _coefficients(model: Model, sigmas, grid, plan: StepPlan, frozen_tau=None):
+def _coefficients(model: Model, sigmas, grid):
     """(phase, schedule) of a stack of `model` rows, one sigma per row.
 
     phase maps the stacked rho = |u|^2 to the stacked potential V.
@@ -50,8 +49,7 @@ def _coefficients(model: Model, sigmas, grid, plan: StepPlan, frozen_tau=None):
     (kappa, nl, harm): each row's kinetic weight as a (steps, rows) array and,
     for lens models, the weights of V and of |y|^2 in the potential
     nl V + harm |y|^2 as (steps, rows, 1, ...) arrays (None otherwise).  Lens
-    models freeze them at the envelope's tau at each step midpoint (the step
-    start when plan.potential_midpoint is off), or at frozen_tau if given; the
+    models freeze them at the envelope's tau at each step midpoint; the
     envelope is read once per row for all the steps, and each tau is turned
     into coefficients by the same scalar arithmetic as a single step.
     """
@@ -64,13 +62,12 @@ def _coefficients(model: Model, sigmas, grid, plan: StepPlan, frozen_tau=None):
     readers = [_envelope(model, s, grid.dim)[0] for s in sigmas]
     if readers[0] is None:
         return phase, lambda times, dts: (np.ones((len(dts), len(sigmas))), None, None)
-    midpoint = 0.5 if plan.potential_midpoint else 0.0
 
     def schedule(times, dts):
-        mids = np.array(times) + midpoint * np.array(dts)
+        mids = np.array(times) + 0.5 * np.array(dts)
         kappa, nl, harm = [], [], []
         for read, s in zip(readers, sigmas):
-            taus = [frozen_tau] * len(dts) if frozen_tau is not None else read(mids).tolist()
+            taus = read(mids).tolist()
             if any(tau <= 0 for tau in taus):
                 raise EnvelopeError(f"envelope tau must be positive, got {min(taus)}")
             a = grid.dim * s
@@ -161,50 +158,13 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients, scheme: str):
     return values, times[-1]
 
 
-def _one_step(field: WaveField, plan: StepPlan, sigma: float, frozen_tau=None) -> WaveField:
-    coefficients = _coefficients(field.model, (sigma,), field.grid, plan, frozen_tau)
+def step(field: WaveField, plan: StepPlan) -> WaveField:
+    """One split step of plan.dt (of either sign) in the field's own model and
+    sigma; lens coefficients are frozen at the model's own envelope at the
+    step midpoint."""
     values, t = _march(field.values[None], field.grid, field.time, [plan.dt],
-                       coefficients, plan.scheme)
+                       _coefficients(field.model, (field.sigma,), field.grid), plan.scheme)
     return field.with_values(values[0], time=t)
-
-
-def step_direct(field: WaveField, plan: StepPlan, sigma: float | None = None) -> WaveField:
-    """One step of i u_t + (1/2) Lap u = |u|^{2 sigma} u."""
-    if field.model is not Model.DIRECT:
-        raise GridError(f"step_direct needs a Direct-model field, got {field.model}")
-    return _one_step(field, plan, field.sigma if sigma is None else sigma)
-
-
-def step_rescaled(field: WaveField, plan: StepPlan, sigma: float | None = None) -> WaveField:
-    """One step with nonlinear phase (|u|^{2 sigma} - 1)/sigma; sigma = 0 is rejected."""
-    if field.model is not Model.RESCALED:
-        raise GridError(f"step_rescaled needs a Rescaled-model field, got {field.model}")
-    return _one_step(field, plan, field.sigma if sigma is None else sigma)
-
-
-def step_log(field: WaveField, plan: StepPlan) -> WaveField:
-    """One step of the logarithmic model, phase ln(|u|^2 + LOG_REGULARISATION)."""
-    if field.model is not Model.LOG:
-        raise GridError(f"step_log needs a Log-model field, got {field.model}")
-    return _one_step(field, plan, field.sigma)
-
-
-def step_lens(field: WaveField, plan: StepPlan, env: EnvelopeState) -> WaveField:
-    """One lens-model step from env, the field's envelope (time, sigma, d) at the
-    step start; coefficients are frozen at the model's own envelope at the step
-    midpoint, or at env.tau when potential_midpoint is off."""
-    if field.model not in (Model.RESCALED_LENS, Model.DIRECT_LENS):
-        raise GridError(f"step_lens needs a lens-model field, got {field.model}")
-    if abs(env.sigma - field.sigma) > 1e-12 or env.dim != field.grid.dim:
-        raise EnvelopeError(f"envelope (sigma {env.sigma}, d = {env.dim}) does not "
-                            f"match the field (sigma {field.sigma}, d = {field.grid.dim})")
-    if env.tau <= 0:
-        raise EnvelopeError(f"envelope tau must be positive, got {env.tau}")
-    if abs(env.t - field.time) > 1e-9 * max(1.0, abs(field.time)):
-        raise EnvelopeError(f"envelope time {env.t} inconsistent with field time "
-                            f"{field.time}")
-    return _one_step(field, plan, field.sigma,
-                     None if plan.potential_midpoint else env.tau)
 
 
 def free_flow(field: WaveField, dt: float) -> WaveField:
@@ -282,7 +242,7 @@ def evolve(fields, plan: StepPlan, t_end: float, observers=(), checkpoints=()):
     dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if env_ats[0] else (lambda t: plan.dt)
     per_stack = max(1, BATCH_POINTS // math.prod(grid.shape))
     chunks = [slice(lo, lo + per_stack) for lo in range(0, len(fields), per_stack)]
-    coefficients = [_coefficients(first.model, [f.sigma for f in fields[rows]], grid, plan)
+    coefficients = [_coefficients(first.model, [f.sigma for f in fields[rows]], grid)
                     for rows in chunks]
     observe(fields)
     values, t = np.stack([f.values for f in fields]), first.time

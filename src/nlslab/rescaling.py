@@ -1,4 +1,4 @@
-"""Lens changes of unknowns, normalized densities, Madelung fields, pseudo-energy.
+"""Lens-variable densities, Madelung fields, pseudo-energy and diagnostics.
 
 The lens transform
 
@@ -6,8 +6,7 @@ The lens transform
 
 turns dispersion on the whole space into a confined, bounded-support
 problem, which is what makes the long-time experiments possible on a
-periodic box.  Resampling between the x- and y-lattices is done by
-trigonometric interpolation so the pipeline stays spectrally accurate.
+periodic box.
 """
 from __future__ import annotations
 
@@ -17,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envelope import EnvelopeState
-from .errors import NormalizationError, ResolutionError
-from .grid import Density, Grid, WaveField, edge_density, mass, power_ratio
-
-EDGE_SUPPORT_TOL = 1e-8
+from .errors import NormalizationError
+from .grid import Density, Grid, WaveField, mass, power_ratio
 
 # The universal-profile statement Gamma = exp(-|y|^2)/pi^{d/2} is normalized
 # for the envelope satisfying tau tau'' = 2.  The envelope family used here
@@ -60,65 +57,6 @@ class HydroFields:
     current: tuple
     grid: Grid
     time: float
-
-
-def _resample_matrix(grid: Grid, scale: float) -> np.ndarray:
-    """Trigonometric evaluation of a grid function at the scaled lattice x*scale.
-
-    The Fourier series is 2L-periodic, so targets outside the box wrap
-    around; callers must check that the field is negligible at the edge.
-    """
-    targets = grid.x * scale
-    return np.exp(1j * np.outer(targets + grid.half_length, grid.k)) / grid.n
-
-
-def spectral_rescale(grid: Grid, values: np.ndarray, scale: float) -> np.ndarray:
-    """Evaluate values at the lattice scaled by `scale` (separable in d = 2)."""
-    mat = _resample_matrix(grid, scale)
-    vhat = grid.fft(values)
-    if grid.dim == 1:
-        return mat @ vhat
-    return mat @ vhat @ mat.T
-
-
-def _check_support(u: WaveField, tau: float) -> None:
-    if tau > 1.0:
-        rho_edge = edge_density(u)
-        peak = float(np.abs(u.values).max()) ** 2
-        if peak > 0 and rho_edge > EDGE_SUPPORT_TOL * peak:
-            raise ResolutionError(
-                f"field support reaches the box edge (relative density "
-                f"{rho_edge / peak:.2e}); lens scaling tau = {tau} would wrap it")
-
-
-def lens_forward(u: WaveField, env: EnvelopeState) -> WaveField:
-    """u -> v: v(t, y) = tau^{d/2} u(t, y tau) exp(-i tau' tau |y|^2 / 2)."""
-    tau, taud = env.tau, env.tau_dot
-    _check_support(u, tau)
-    d = u.grid.dim
-    vals = spectral_rescale(u.grid, u.values, tau)
-    vals = tau ** (d / 2.0) * vals * np.exp(-0.5j * taud * tau * u.grid.radius_sq)
-    return WaveField(u.grid, vals, u.time, u.sigma, u.model)
-
-
-def lens_backward(v: WaveField, env: EnvelopeState) -> WaveField:
-    """v -> u, the inverse change of unknowns."""
-    tau, taud = env.tau, env.tau_dot
-    d = v.grid.dim
-    phased = v.values  # undo the quadratic phase after resampling at x/tau
-    vals = spectral_rescale(v.grid, phased, 1.0 / tau)
-    vals = tau ** (-d / 2.0) * vals * np.exp(0.5j * (taud / tau) * v.grid.radius_sq)
-    return WaveField(v.grid, vals, v.time, v.sigma, v.model)
-
-
-def normalized_density(u: WaveField, tau: float) -> Density:
-    """Probability density tau^d |u(t, y tau)|^2 / ||u||^2 on the y-lattice."""
-    if mass(u) <= 0:
-        raise NormalizationError("cannot normalize the density of a zero field")
-    _check_support(u, tau)
-    vals = spectral_rescale(u.grid, u.values, tau)
-    rho = tau**u.grid.dim * np.abs(vals) ** 2
-    return Density.normalize(u.grid, rho)
 
 
 def density_from_field(v: WaveField) -> Density:

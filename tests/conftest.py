@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from nlslab import make_grid
+from nlslab import Model, make_grid
+from nlslab.grid import nonlinear_phase
+from nlslab.propagators import _march
 
 _ACCEPTANCE_LINES = []
 
@@ -28,3 +30,21 @@ def grid1d():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def frozen_lens_step():
+    """step(field, dt): one Strang step of the rescaled-lens equation with its
+    envelope frozen at tau = 1, i.e. the constant schedule kappa = 1, nl = 1,
+    harm = 1/4, an autonomous equation whose energy is conserved."""
+    def step(field, dt):
+        sigma = np.full((1,) * (field.grid.dim + 1), field.sigma)
+
+        def schedule(times, dts):
+            return np.ones((1, 1)), np.ones((1,) + sigma.shape), np.full((1,) + sigma.shape, 0.25)
+
+        coefficients = nonlinear_phase(Model.RESCALED_LENS, sigma), schedule
+        values, t = _march(field.values[None], field.grid, field.time, [dt], coefficients,
+                           "strang")
+        return field.with_values(values[0], time=t)
+    return step

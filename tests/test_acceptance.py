@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlslab import (Density, EnvelopeState, Model, PROFILE_DILATION, StepPlan,
+from nlslab import (Density, Model, PROFILE_DILATION, StepPlan,
                     TauEnvelope, cazenave_haraux_gap, density_from_field,
                     direct_gradient_norm_sq, energy, evolve, extract_asymptotic,
                     first_integral_residual, gaussian_gamma, gaussian_state,
                     integrate_r, integrate_tau, interaction_picture_continuity,
                     l2_distance, make_grid, mass, pseudo_energy, scattering_map,
-                    sobolev_norm, step_lens, tau_difference_bound, w1_1d,
+                    sobolev_norm, step, tau_difference_bound, w1_1d,
                     w1_1d_dilated, w2_1d)
 from nlslab.propagators import _lens_schedule_dt
 
@@ -36,7 +36,7 @@ def _l2_drifts(rows, key):
 
 # ---------------------------------------------------------------- 1
 
-def test_criterion_1_conservation(acceptance_log):
+def test_criterion_1_conservation(acceptance_log, frozen_lens_step):
     grid = make_grid(1, 256, 20.0)
     plan = StepPlan(1e-3)
     drifts = {}
@@ -49,12 +49,10 @@ def test_criterion_1_conservation(acceptance_log):
     # lens conservation is checked on the frozen-envelope (autonomous)
     # equation, whose energy is exactly conserved by the continuum flow
     phi = gaussian_state(grid, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
-    frozen_plan = StepPlan(1e-3, potential_midpoint=False)
     cur, m0, e0 = phi, mass(phi), energy(phi)
     worst_m = worst_e = 0.0
     for i in range(10000):
-        env = EnvelopeState(t=cur.time, tau=1.0, tau_dot=0.0, sigma=0.3, dim=1)
-        cur = step_lens(cur, frozen_plan, env)
+        cur = frozen_lens_step(cur, 1e-3)
         if (i + 1) % 500 == 0:
             worst_m = max(worst_m, abs(mass(cur) - m0) / m0)
             worst_e = max(worst_e, abs(energy(cur) - e0) / abs(e0))
@@ -269,7 +267,7 @@ def test_criterion_9_weighted_pseudo_energy(acceptance_log):
         comp_max = 0.0
         while cur.time < 1e3 - 1e-9:
             dt = min(_lens_schedule_dt(cur.time, 1e-3), 1e3 - cur.time)
-            cur = step_lens(cur, StepPlan(dt), env)
+            cur = step(cur, StepPlan(dt))
             env = env_src.state(cur.time)
             pe = pseudo_energy(cur, env)
             weighted = env.tau ** sigma * pe.total

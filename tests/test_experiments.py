@@ -52,6 +52,17 @@ def test_config_rejects_unknown_name():
         ExperimentConfig(name="does-not-exist", sigmas=(0.1,))
 
 
+def test_config_integer_fields():
+    # integral values are stored as int; non-numbers are rejected (the
+    # non-integral ones are inputs of test_cli_bad_config_exits_2)
+    cfg = ExperimentConfig(name="ode-suite", sigmas=(0.1,), dim=1.0, n=256.0, n_times=3.0)
+    assert (cfg.dim, cfg.n, cfg.n_times) == (1, 256, 3)
+    assert all(type(v) is int for v in (cfg.dim, cfg.n, cfg.n_times))
+    for bad in (dict(dim=True), dict(n="256")):
+        with pytest.raises(GridError, match="^invalid config"):
+            ExperimentConfig(name="ode-suite", sigmas=(0.1,), **bad)
+
+
 def test_config_rejects_empty_sigmas():
     with pytest.raises(GridError):
         ExperimentConfig(name="ode-suite", sigmas=())
@@ -263,7 +274,11 @@ def _config_text(change):
     _config_text(lambda d: d.pop("sigmas")),
     _config_text(lambda d: d.pop("name")),
     '{"name": "local-continuity", "sigmas": [0.8,',
-], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json"])
+    _config_text(lambda d: d.update(n=128.9)),
+    _config_text(lambda d: d.update(n_times=0)),
+    _config_text(lambda d: d.update(n_times=2.5)),
+], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
+        "zero-n-times", "non-integer-n-times"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -338,5 +353,5 @@ def test_cli_sweep_non_integer_n_exits_2(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err == "ERROR: --axis N needs integer values, got 128.9\n"
+    assert captured.err == "ERROR: invalid config: n must be an integer, got 128.9\n"
     assert "PASS" not in captured.out and not os.listdir(tmp_path)

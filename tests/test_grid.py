@@ -35,6 +35,8 @@ def test_grid_rejects_bad_parameters():
         make_grid(1, 4, 1.0)           # too few points
     with pytest.raises(GridError):
         make_grid(1, 64, -1.0)
+    with pytest.raises(GridError):
+        make_grid(1, 128.9, 1.0)       # would truncate to 128
 
 
 def test_grid_axes_are_readonly(grid1d):

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from nlslab import (Density, GridError, NormalizationError, gaussian_gamma,
-                    make_grid, sobolev_norm, w1_1d, w1_1d_dilated, w1_radial,
-                    w1_sliced, w2_1d)
+                    make_grid, sobolev_norm, w1_1d, w1_1d_dilated, w2_1d)
 from nlslab.metrics import QuantileRep
 
 
@@ -147,59 +146,6 @@ def test_w1_dilated_matches_manual(grid1d):
     assert dilated <= 0.01 * undilated
     with pytest.raises(GridError):
         w1_1d_dilated(f, g, dilation=0.0)
-
-
-# ------------------------------------------------------------- estimators
-
-def test_sliced_identical_zero():
-    g2 = make_grid(2, 64, 8.0)
-    d = Density.normalize(g2, np.exp(-g2.radius_sq))
-    est, err = w1_sliced(d, d, n_slices=16, seed=3)
-    assert est <= 1e-12 and err <= 1e-12
-
-
-def test_sliced_seed_determinism():
-    g2 = make_grid(2, 64, 8.0)
-    X, Y = np.meshgrid(g2.x, g2.x, indexing="ij")
-    f = Density.normalize(g2, np.exp(-(X**2 + Y**2)))
-    h = Density.normalize(g2, np.exp(-((X - 1.0) ** 2 + Y**2)))
-    a = w1_sliced(f, h, n_slices=32, seed=7)
-    b = w1_sliced(f, h, n_slices=32, seed=7)
-    assert a == b
-
-
-def test_sliced_shifted_bump_expectation():
-    # [DERIVED] projections of a unit shift have mean displacement
-    # a E|cos| = 2a/pi
-    g2 = make_grid(2, 64, 8.0)
-    X, Y = np.meshgrid(g2.x, g2.x, indexing="ij")
-    f = Density.normalize(g2, np.exp(-(X**2 + Y**2)))
-    h = Density.normalize(g2, np.exp(-((X - 1.0) ** 2 + Y**2)))
-    est, err = w1_sliced(f, h, n_slices=64, seed=0)
-    assert abs(est - 2.0 / math.pi) <= 0.08
-
-
-def test_sliced_redirects_1d(grid1d):
-    f = _gaussian_density(grid1d, 0.0)
-    g = _gaussian_density(grid1d, 0.5)
-    est, err = w1_sliced(f, g)
-    assert err == 0.0 and est == pytest.approx(w1_1d(f, g), abs=1e-14)
-
-
-def test_sliced_rejects_few_slices():
-    g2 = make_grid(2, 32, 8.0)
-    d = Density.normalize(g2, np.exp(-g2.radius_sq))
-    with pytest.raises(GridError):
-        w1_sliced(d, d, n_slices=4)
-
-
-def test_radial_gaussian_widths():
-    # [DERIVED] radially symmetric Gaussians: W1 = |s1 - s2| E[chi_2]
-    g2 = make_grid(2, 128, 10.0)
-    f = Density.normalize(g2, np.exp(-g2.radius_sq / 2.0))
-    h = Density.normalize(g2, np.exp(-g2.radius_sq / (2.0 * 1.5**2)))
-    exact = 0.5 * math.sqrt(math.pi / 2.0)
-    assert abs(w1_radial(f, h) - exact) <= 0.02 * exact
 
 
 # ------------------------------------------------------------- Sobolev

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlslab import (BlowUpError, EnvelopeState, GridError, Model, StepPlan,
-                    TauEnvelope, chevron_state, energy, evolve, free_flow, gaussian_state,
-                    gradient_norm_sq, l2_distance, make_grid, mass, power_ratio,
-                    step_direct, step_lens, step_log, step_rescaled)
+from nlslab import (BlowUpError, GridError, Model, StepPlan, energy, evolve, free_flow,
+                    gaussian_state, gradient_norm_sq, l2_distance, make_grid, mass,
+                    power_ratio, step)
 from nlslab import grid as grid_module
 from nlslab import propagators
-from nlslab.errors import EnvelopeError
 from nlslab.propagators import _lens_schedule_dt
 
 
@@ -65,7 +63,7 @@ def test_free_flow_invertible(grid1d):
 def test_zero_field_fixed_point(grid1d):
     from nlslab import WaveField
     zero = WaveField(grid1d, np.zeros(grid1d.shape), 0.0, 1.0, Model.DIRECT)
-    out = step_direct(zero, StepPlan(1e-3))
+    out = step(zero, StepPlan(1e-3))
     assert mass(out) == 0.0
 
 
@@ -79,26 +77,26 @@ def test_constant_modulus_phase_rotation(grid1d):
     from nlslab import WaveField
     u = WaveField(grid1d, vals, 0.0, 0.7, Model.DIRECT)
     dt = 1e-2
-    out = step_direct(u, StepPlan(dt))
+    out = step(u, StepPlan(dt))
     expected = free_flow(u, dt).values * np.exp(-1j * dt)
     assert np.abs(out.values - expected).max() <= 1e-13
 
 
 def test_strang_time_reversible(grid1d):
-    phi = gaussian_state(grid1d, 1.0, sigma=1.0)
-    fwd = step_direct(phi, StepPlan(1e-2))
-    back = step_direct(fwd, StepPlan(-1e-2))
-    assert l2_distance(back, phi) <= 1e-13
+    # a backward step undoes a forward one in every model: the lens
+    # coefficients of both are frozen at the same midpoint t = 0.505
+    for model, sigma in _MODELS:
+        phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model).with_tags(time=0.5)
+        back = step(step(phi, StepPlan(1e-2)), StepPlan(-1e-2))
+        assert l2_distance(back, phi) <= 1e-13, model
 
 
 def test_step_model_tag_enforcement(grid1d):
-    phi = gaussian_state(grid1d, 1.0, sigma=1.0, model=Model.RESCALED)
-    with pytest.raises(GridError):
-        step_direct(phi, StepPlan(1e-3))
-    with pytest.raises(GridError):
-        step_rescaled(phi, StepPlan(1e-3), sigma=0.0)
-    with pytest.raises(GridError):
-        step_direct(phi.with_tags(model=Model.DIRECT, sigma=0.0), StepPlan(1e-3))
+    # sigma = 0 is the log model; the power-law models reject it
+    phi = gaussian_state(grid1d, 1.0, sigma=1.0)
+    for model in (Model.DIRECT, Model.RESCALED):
+        with pytest.raises(GridError):
+            step(phi.with_tags(model=model, sigma=0.0), StepPlan(1e-3))
 
 
 def test_plan_validation():
@@ -150,10 +148,10 @@ def test_gauge_equivalence_direct_rescaled(grid1d):
 def test_rescaled_approaches_log_linearly_in_sigma(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
     plan = StepPlan(1e-3)
-    ref = step_log(phi, plan)
+    ref = step(phi, plan)
     diffs = []
     for s in (1e-3, 1e-4):
-        out = step_rescaled(phi.with_tags(sigma=s, model=Model.RESCALED), plan)
+        out = step(phi.with_tags(sigma=s, model=Model.RESCALED), plan)
         diffs.append(l2_distance(out, ref.with_tags(sigma=s, model=Model.RESCALED)))
     assert 8.0 <= diffs[0] / diffs[1] <= 12.0
 
@@ -199,13 +197,12 @@ def test_log_floor_insensitivity(grid1d, monkeypatch):
 
 # ------------------------------------------------------------- lens model
 
-def test_lens_frozen_envelope_equals_reference_split(grid1d):
-    # tau = 1, tau' = 0 frozen: the step must equal a hand-rolled Strang
-    # step of the autonomous equation with potential |y|^2/4 + nonlinearity
+def test_lens_frozen_envelope_equals_reference_split(grid1d, frozen_lens_step):
+    # tau = 1 frozen: the step must equal a hand-rolled Strang step of the
+    # autonomous equation with potential |y|^2/4 + nonlinearity
     s, dt = 0.3, 1e-3
     phi = gaussian_state(grid1d, 1.0, sigma=s, model=Model.RESCALED_LENS)
-    env = EnvelopeState(t=0.0, tau=1.0, tau_dot=0.0, sigma=s, dim=1)
-    out = step_lens(phi, StepPlan(dt, potential_midpoint=False), env)
+    out = frozen_lens_step(phi, dt)
 
     g = grid1d
     def kin(v, w):
@@ -214,21 +211,6 @@ def test_lens_frozen_envelope_equals_reference_split(grid1d):
     v = v * np.exp(-1j * dt * (0.25 * g.x**2 + power_ratio(np.abs(v) ** 2, s)))
     v = kin(v, 0.5 * dt)
     assert np.abs(out.values - v).max() <= 1e-14
-
-
-def test_lens_envelope_time_mismatch(grid1d):
-    phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
-    env = EnvelopeState(t=5.0, tau=2.0, tau_dot=0.5, sigma=0.3, dim=1)
-    with pytest.raises(EnvelopeError):
-        step_lens(phi, StepPlan(1e-3), env)
-
-
-def test_lens_envelope_sigma_or_dim_mismatch(grid1d):
-    phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
-    for sigma, dim in ((0.2, 1), (0.3, 2)):
-        env = EnvelopeState(t=0.0, tau=1.0, tau_dot=0.0, sigma=sigma, dim=dim)
-        with pytest.raises(EnvelopeError):
-            step_lens(phi, StepPlan(1e-3), env)
 
 
 def test_lens_position_norm_stays_bounded(grid1d):
@@ -296,23 +278,14 @@ _LENS = (Model.RESCALED_LENS, Model.DIRECT_LENS)
 
 
 def _chained_steps(phi, dt_of, targets, tol, scheme="strang"):
-    """Reference: one public step_* call per step through the targets.
+    """Reference: one public `step` call per step through the targets.
 
     Returns the state at each target and every state keyed by its time.
     """
-    env_src = TauEnvelope(phi.sigma, 1) if phi.model is Model.RESCALED_LENS else None
-    step = {Model.DIRECT: step_direct, Model.RESCALED: step_rescaled,
-            Model.LOG: step_log}.get(phi.model)
     cur, at_targets, states = phi, [], {}
     for target in targets:
         while cur.time < target - tol:
-            plan = StepPlan(min(dt_of(cur.time), target - cur.time), scheme=scheme)
-            if step is not None:
-                cur = step(cur, plan)
-            else:
-                env = (env_src.state(cur.time) if env_src is not None
-                       else chevron_state(cur.time, phi.sigma, 1))
-                cur = step_lens(cur, plan, env)
+            cur = step(cur, StepPlan(min(dt_of(cur.time), target - cur.time), scheme=scheme))
             states[cur.time] = cur
         at_targets.append(cur)
     return at_targets, states
@@ -327,7 +300,7 @@ def _rel_l2(a, b):
 @pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
 def test_evolve_matches_chained_steps(grid1d, model, sigma, scheme, checkpoints):
     # merged Strang half kicks are exact: the fused march equals one
-    # step_* call per step up to roundoff, at a trimmed final step and at
+    # step call per step up to roundoff, at a trimmed final step and at
     # every observation point
     t_end = 0.0105
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)

@@ -1,18 +1,16 @@
-"""Lens transform, Madelung fields, pseudo-energy, and pointwise inequalities."""
+"""Lens-variable densities, Madelung fields, pseudo-energy, and pointwise inequalities."""
 import math
 
 import numpy as np
 import pytest
 
 from nlslab import (Density, EnvelopeState, Model, PROFILE_DILATION, StepPlan,
-                    TauEnvelope, WaveField, cazenave_haraux_gap,
-                    continuity_residual, density_from_field,
-                    direct_gradient_norm_sq, dispersive_bound_check, evolve,
-                    gaussian_state, gradient_norm_sq, hydro, integrate_tau,
-                    l2_distance, lens_backward, lens_forward, log_limit_source,
-                    make_grid, mass, normalized_density, pseudo_energy,
-                    spectral_rescale, step_lens, w1_1d)
-from nlslab.errors import NormalizationError, ResolutionError
+                    WaveField, cazenave_haraux_gap, continuity_residual,
+                    density_from_field, direct_gradient_norm_sq,
+                    dispersive_bound_check, evolve, gaussian_state,
+                    gradient_norm_sq, hydro, integrate_tau, log_limit_source,
+                    make_grid, mass, pseudo_energy, step, w1_1d)
+from nlslab.errors import NormalizationError
 
 
 def _lens_field(grid, sigma=0.1, **kw):
@@ -23,71 +21,16 @@ def _env(tau, tau_dot, sigma=0.1, t=0.0):
     return EnvelopeState(t=t, tau=tau, tau_dot=tau_dot, sigma=sigma, dim=1)
 
 
-# ------------------------------------------------------------- lens transform
+# ------------------------------------------------------------- densities
 
 def test_profile_dilation_value():
     assert PROFILE_DILATION == 2.0
-
-
-def test_spectral_rescale_identity(grid1d):
-    phi = _lens_field(grid1d)
-    out = spectral_rescale(grid1d, phi.values, 1.0)
-    assert np.abs(out - phi.values).max() <= 1e-13
-
-
-def test_lens_identity_at_unit_envelope(grid1d):
-    phi = _lens_field(grid1d)
-    env = _env(1.0, 0.0)
-    for mapped in (lens_forward(phi, env), lens_backward(phi, env)):
-        assert np.abs(mapped.values - phi.values).max() <= 1e-13
-
-
-def test_lens_round_trip(grid1d):
-    # spectral resampling: the residual is set by the periodic-image tail,
-    # not the interpolation, hence 1e-6 rather than roundoff
-    phi = _lens_field(grid1d)
-    env = _env(1.5, 0.3)
-    back = lens_backward(lens_forward(phi, env), env)
-    assert l2_distance(back, phi) <= 1e-6
-
-
-def test_lens_forward_preserves_mass(grid1d):
-    phi = _lens_field(grid1d)
-    out = lens_forward(phi, _env(1.25, 0.1))
-    assert abs(mass(out) - mass(phi)) <= 1e-10
-
-
-def test_lens_support_guard():
-    # a field filling the box would wrap under the tau-dilation
-    g = make_grid(1, 128, 6.0)
-    wide = gaussian_state(g, 2.5, sigma=0.1, model=Model.RESCALED_LENS)
-    with pytest.raises(ResolutionError):
-        lens_forward(wide, _env(2.0, 0.0))
-
-
-# ------------------------------------------------------------- densities
-
-def test_normalized_density_unit_tau(grid1d):
-    phi = _lens_field(grid1d)
-    d = normalized_density(phi, 1.0)
-    manual = np.abs(phi.values) ** 2 / mass(phi)
-    assert np.abs(d.values - manual).max() <= 1e-12
-
-
-def test_normalized_density_closed_form(grid1d):
-    # tau = 1.25 keeps the wrapped targets in the Gaussian's dead zone
-    phi = _lens_field(grid1d)
-    d = normalized_density(phi, 1.25)
-    exact = Density.normalize(grid1d, np.exp(-((1.25 * grid1d.x) ** 2)))
-    assert np.abs(d.values - exact.values).max() <= 1e-12
 
 
 def test_density_rejects_zero_field(grid1d):
     zero = WaveField(grid1d, np.zeros(grid1d.shape), 0.0, 0.1, Model.RESCALED_LENS)
     with pytest.raises(NormalizationError):
         density_from_field(zero)
-    with pytest.raises(NormalizationError):
-        normalized_density(zero, 1.0)
 
 
 def test_free_flow_density_approaches_fourier_profile():
@@ -163,10 +106,9 @@ def test_continuity_residual_second_order(grid1d):
     # split step (away from the time-symmetric t = 0 state)
     phi = _lens_field(grid1d)
     v0, _ = evolve(phi, StepPlan(1e-3), 0.5)
-    e0 = integrate_tau(0.1, 1, [0.5])[0]
     res = []
     for dt in (2e-3, 1e-3, 5e-4):
-        v1 = step_lens(v0, StepPlan(dt), e0)
+        v1 = step(v0, StepPlan(dt))
         tau_mid = integrate_tau(0.1, 1, [0.5 + dt / 2.0])[0].tau
         res.append(continuity_residual(hydro(v0), hydro(v1), tau_mid))
     for a, b in zip(res, res[1:]):
@@ -215,11 +157,12 @@ def test_direct_gradient_norm_identity(grid1d):
 
 
 def test_direct_gradient_norm_cross_check(grid1d):
-    # at tau = 1 the backward map is a pure quadratic phase, so the
-    # identity can be checked against a literal gradient of u
+    # at tau = 1 the lens map is the pure quadratic phase
+    # u = v e^{i tau' |y|^2 / 2}, so the identity can be checked against a
+    # literal gradient of u
     env = _env(1.0, 0.3)
     phi = _lens_field(grid1d)
-    u = lens_backward(phi, env)
+    u = phi.with_values(phi.values * np.exp(0.5j * env.tau_dot * grid1d.radius_sq))
     assert direct_gradient_norm_sq(phi, env) == pytest.approx(
         gradient_norm_sq(u), rel=1e-10)
 
