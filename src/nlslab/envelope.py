@@ -169,12 +169,9 @@ class TauEnvelope:
         u, slope = self._table.at(t)
         return EnvelopeState(t=t, tau=1.0 + u, tau_dot=slope, sigma=self.sigma, dim=self.dim)
 
-    def tau(self, t: float) -> float:
-        """tau_sigma(t) alone."""
-        return 1.0 + self._table.at(t)[0]
-
     def taus(self, times: np.ndarray) -> np.ndarray:
-        """tau_sigma at each of the times, each bitwise tau(t): the read lens steps make."""
+        """tau_sigma at each of the times, each bitwise state(t).tau: the read lens
+        steps make."""
         return 1.0 + self._table.at_times(times)
 
 
@@ -243,12 +240,12 @@ def time_change_s_limit(sigma: float, dim: int) -> float:
     return math.log(1.0 / a) / (4.0 * (1.0 - a))
 
 
-def tau_difference_bound(sigma: float, dim: int, t_max: float,
-                         points_per_decade: int = 40) -> dict:
-    """Scan sup_t |tau_sigma - tau_0| / (sigma t ln(t+2)^{3/2}) up to t_max."""
+def tau_difference_bound(sigma: float, dim: int, t_max: float) -> dict:
+    """Scan sup_t |tau_sigma - tau_0| / (sigma t ln(t+2)^{3/2}) up to t_max,
+    at 40 log-spaced times per decade from t = 1e-2."""
     if not (0 < sigma < 1.0 / dim):
         raise EnvelopeError(f"sigma must lie in (0, 1/d), got {sigma}")
-    n = max(2, int(points_per_decade * math.log10(max(t_max / 1e-2, 10.0))))
+    n = max(2, int(40 * math.log10(max(t_max / 1e-2, 10.0))))
     grid = [1e-2 * (t_max / 1e-2) ** (i / (n - 1)) for i in range(n)]
     tau_s = integrate_tau(sigma, dim, grid)
     tau_0 = integrate_tau(0.0, dim, grid)

@@ -25,25 +25,13 @@ from . import __version__
 from .envelope import (TauEnvelope, first_integral_residual, integrate_r, integrate_tau,
                        tau_difference_bound, time_change_s)
 from .errors import GridError, NlsLabError, VerificationError
-from .grid import Model, WaveField, gaussian_state, l2_distance, make_grid
+from .grid import Model, gaussian_state, l2_distance, make_grid
 from .metrics import gaussian_gamma, w1_1d, w1_1d_dilated
 from .propagators import StepPlan, evolve
 from .rescaling import (PROFILE_DILATION, density_from_field,
                         direct_gradient_norm_sq, pseudo_energy)
 from .scattering import (extract_asymptotic, interaction_picture_continuity, scattering_map,
                          strauss_exponent)
-
-EXPERIMENT_NAMES = (
-    "local-continuity",
-    "global-interaction-picture",
-    "scattering-continuity",
-    "uniform-w1",
-    "log-limit-local",
-    "log-limit-global",
-    "ode-suite",
-    "gaussian-profile",
-    "sobolev-growth",
-)
 
 # ---------------------------------------------------------------- config
 
@@ -70,6 +58,11 @@ class ExperimentConfig:
                     or not float(value).is_integer():
                 raise GridError(f"invalid config: {key} must be an integer, got {value!r}")
             object.__setattr__(self, key, int(value))
+        for key in ("half_length", "dt", "width", "t0"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise GridError(f"invalid config: {key} must be a finite real, got {value!r}")
         if self.n_times < 1:
             raise GridError(f"invalid config: n_times must be >= 1, got {self.n_times}")
         if not self.sigmas:
@@ -118,31 +111,10 @@ def _validate_sigma_window(name: str, sigmas, dim: int) -> None:
     # scattering-continuity deliberately mixes short- and long-range sigmas
 
 
-_DEFAULTS = {
-    "ode-suite": dict(sigmas=(0.1, 0.01, 0.001), t0=1.0, n_times=21),
-    "local-continuity": dict(sigmas=(0.8, 0.81, 0.82, 0.84), n=256,
-                             half_length=20.0, dt=2e-3, width=1.0, t0=0.5, n_times=3),
-    "global-interaction-picture": dict(sigmas=(1.5, 1.54, 1.6, 1.7), n=2048,
-                                       half_length=160.0, dt=5e-3, t0=2.0, n_times=4),
-    "scattering-continuity": dict(sigmas=(1.5, 0.8), n=2048, half_length=160.0,
-                                  dt=5e-3, t0=4.0, n_times=4),
-    "uniform-w1": dict(sigmas=(0.8, 0.76, 0.78, 0.82, 0.84), n=512,
-                       half_length=30.0, dt=1e-3, t0=1.0, n_times=11),
-    "log-limit-local": dict(sigmas=(0.05, 0.02, 0.01), n=256,
-                            half_length=20.0, dt=1e-3, t0=1.0, n_times=3),
-    "log-limit-global": dict(sigmas=(0.1, 0.05, 0.02, 0.01), n=512, half_length=30.0,
-                             dt=1e-3, t0=1.0, n_times=8),
-    "gaussian-profile": dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3,
-                             width=3.0, t0=10.0, n_times=11),
-    "sobolev-growth": dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3,
-                           width=3.0, t0=10.0, n_times=11),
-}
-
-
 def default_config(name: str) -> ExperimentConfig:
-    if name not in _DEFAULTS:
+    if name not in _EXPERIMENTS:
         raise GridError(f"unknown experiment {name!r}")
-    return ExperimentConfig(name=name, **_DEFAULTS[name])
+    return ExperimentConfig(name=name, **_EXPERIMENTS[name][2])
 
 
 # ---------------------------------------------------------------- artifacts
@@ -246,13 +218,6 @@ class RunRecord:
 
 # ---------------------------------------------------------------- helpers
 
-def _at_checkpoints(starts, dt: float, times) -> list[list[WaveField]]:
-    """Each start field at each checkpoint time, from one batched evolve."""
-    snaps = []
-    evolve(starts, StepPlan(dt), times[-1], observers=(snaps.append,), checkpoints=times)
-    return [list(run) for run in zip(*snaps[1:])]
-
-
 def _loglog_slope(xs, ys) -> float:
     xs = np.log(np.asarray(xs, dtype=float))
     ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
@@ -347,8 +312,8 @@ def _run_local_continuity(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
-    ref, *runs = _at_checkpoints([phi, *(phi.with_tags(sigma=nu) for nu in nus)], cfg.dt,
-                                 cfg.times())
+    (ref, *runs), _ = evolve([phi, *(phi.with_tags(sigma=nu) for nu in nus)],
+                             StepPlan(cfg.dt), cfg.times())
     rows = []
     for nu, run in zip(nus, runs):
         sup = max(l2_distance(a, b) for a, b in zip(run, ref))
@@ -431,8 +396,8 @@ def _run_scattering(cfg: ExperimentConfig):
                 defect_rows.append((s, i, d))
         else:
             # long-range control: forward run only, extraction must stall
-            (run,) = _at_checkpoints([phi], cfg.dt, cfg.times())
-            out = extract_asymptotic(run, "+")
+            run, _ = evolve(phi, StepPlan(cfg.dt), cfg.times())
+            out = extract_asymptotic(run)
             hist, converged = out.residual_history, out.converged
         for i, r in enumerate(hist):
             rows.append((s, i, cfg.t0 * 2**i, r, converged))
@@ -469,7 +434,7 @@ def _run_uniform_w1(cfg: ExperimentConfig):
     starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT_LENS)
               for s in cfg.sigmas]
     ref, *runs = ([density_from_field(f) for f in run]
-                  for run in _at_checkpoints(starts, cfg.dt, times))
+                  for run in evolve(starts, StepPlan(cfg.dt), times)[0])
     w_rows, sup_rows = [], []
     for nu, run in zip(nus, runs):
         ws = [w1_1d(a, b) for a, b in zip(run, ref)]
@@ -511,9 +476,9 @@ def _run_log_limit_local(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.LOG)
     times = cfg.times()
-    (ref,) = _at_checkpoints([phi0], cfg.dt, times)
-    runs = _at_checkpoints([phi0.with_tags(sigma=s, model=Model.RESCALED) for s in cfg.sigmas],
-                           cfg.dt, times)
+    ref, _ = evolve(phi0, StepPlan(cfg.dt), times)
+    runs, _ = evolve([phi0.with_tags(sigma=s, model=Model.RESCALED) for s in cfg.sigmas],
+                     StepPlan(cfg.dt), times)
     rows = []
     for s, run in zip(cfg.sigmas, runs):
         sup = 0.0
@@ -556,7 +521,7 @@ def _run_log_limit_global(cfg: ExperimentConfig):
     times = cfg.times()
     starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.RESCALED_LENS)
               for s in (0.0, *cfg.sigmas)]
-    log_run, *runs = _at_checkpoints(starts, cfg.dt, times)
+    (log_run, *runs), _ = evolve(starts, StepPlan(cfg.dt), times)
     ref = [density_from_field(f) for f in log_run]
     w_rows, sup_rows, pe_rows = [], [], []
     for s, run in zip(cfg.sigmas, runs):
@@ -605,10 +570,10 @@ def _run_gaussian_profile(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    (run,) = _at_checkpoints([phi], cfg.dt, times)
+    run, _ = evolve(phi, StepPlan(cfg.dt), times)
     for f, t in zip(run, times):
         w = w1_1d_dilated(density_from_field(f), gamma, PROFILE_DILATION)
-        rows.append((t, envelope.tau(f.time), w,
+        rows.append((t, envelope.state(f.time).tau, w,
                      w * math.sqrt(math.log(max(t, 1.0 + 1e-9)))))
     return {"w1_gamma.csv": (("t", "tau", "w1", "w1_sqrt_log_t"), rows)}
 
@@ -635,7 +600,7 @@ def _run_sobolev_growth(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    (run,) = _at_checkpoints([phi], cfg.dt, times)
+    run, _ = evolve(phi, StepPlan(cfg.dt), times)
     for f, t in zip(run, times):
         env = envelope.state(f.time)
         # direct-variable gradient norm, evaluated without leaving lens variables
@@ -653,29 +618,41 @@ def _analyze_sobolev_growth(cfg: ExperimentConfig, out_dir: str):
                      f"h1^2/ln t over the last decades {['%.4g' % r for r in tail]}")]
 
 
-_RUNNERS = {
-    "ode-suite": _run_ode_suite,
-    "local-continuity": _run_local_continuity,
-    "global-interaction-picture": _run_global_interaction,
-    "scattering-continuity": _run_scattering,
-    "uniform-w1": _run_uniform_w1,
-    "log-limit-local": _run_log_limit_local,
-    "log-limit-global": _run_log_limit_global,
-    "gaussian-profile": _run_gaussian_profile,
-    "sobolev-growth": _run_sobolev_growth,
+# name -> (runner, analyzer, default config fields), in the order `nlslab list` shows
+_EXPERIMENTS = {
+    "local-continuity": (
+        _run_local_continuity, _analyze_local_continuity,
+        dict(sigmas=(0.8, 0.81, 0.82, 0.84), n=256, half_length=20.0, dt=2e-3, width=1.0,
+             t0=0.5, n_times=3)),
+    "global-interaction-picture": (
+        _run_global_interaction, _analyze_global_interaction,
+        dict(sigmas=(1.5, 1.54, 1.6, 1.7), n=2048, half_length=160.0, dt=5e-3, t0=2.0,
+             n_times=4)),
+    "scattering-continuity": (
+        _run_scattering, _analyze_scattering,
+        dict(sigmas=(1.5, 0.8), n=2048, half_length=160.0, dt=5e-3, t0=4.0, n_times=4)),
+    "uniform-w1": (
+        _run_uniform_w1, _analyze_uniform_w1,
+        dict(sigmas=(0.8, 0.76, 0.78, 0.82, 0.84), n=512, half_length=30.0, dt=1e-3, t0=1.0,
+             n_times=11)),
+    "log-limit-local": (
+        _run_log_limit_local, _analyze_log_limit_local,
+        dict(sigmas=(0.05, 0.02, 0.01), n=256, half_length=20.0, dt=1e-3, t0=1.0, n_times=3)),
+    "log-limit-global": (
+        _run_log_limit_global, _analyze_log_limit_global,
+        dict(sigmas=(0.1, 0.05, 0.02, 0.01), n=512, half_length=30.0, dt=1e-3, t0=1.0,
+             n_times=8)),
+    "ode-suite": (
+        _run_ode_suite, _analyze_ode_suite,
+        dict(sigmas=(0.1, 0.01, 0.001), t0=1.0, n_times=21)),
+    "gaussian-profile": (
+        _run_gaussian_profile, _analyze_gaussian_profile,
+        dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3, width=3.0, t0=10.0, n_times=11)),
+    "sobolev-growth": (
+        _run_sobolev_growth, _analyze_sobolev_growth,
+        dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3, width=3.0, t0=10.0, n_times=11)),
 }
-
-_ANALYZERS = {
-    "ode-suite": _analyze_ode_suite,
-    "local-continuity": _analyze_local_continuity,
-    "global-interaction-picture": _analyze_global_interaction,
-    "scattering-continuity": _analyze_scattering,
-    "uniform-w1": _analyze_uniform_w1,
-    "log-limit-local": _analyze_log_limit_local,
-    "log-limit-global": _analyze_log_limit_global,
-    "gaussian-profile": _analyze_gaussian_profile,
-    "sobolev-growth": _analyze_sobolev_growth,
-}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 
 # ---------------------------------------------------------------- orchestration
@@ -693,11 +670,12 @@ def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
     started = _now()
     record_path = os.path.join(out_dir, "record.json")
     try:
-        tables = _RUNNERS[config.name](config)
+        runner, analyzer, _ = _EXPERIMENTS[config.name]
+        tables = runner(config)
         csv_paths = {}
         for name, (header, rows) in sorted(tables.items()):
             csv_paths[name] = write_csv(os.path.join(out_dir, name), header, rows)
-        verdicts = _ANALYZERS[config.name](config, out_dir)
+        verdicts = analyzer(config, out_dir)
         record = RunRecord(
             config=json.loads(config.to_json()), config_hash=config.digest,
             code_version=__version__, started=started, finished=_now(),
@@ -752,7 +730,7 @@ def verify(out_dir: str) -> dict:
         if _file_sha256(path) != record.csv_hashes[name]:
             tampered.append(name)
     try:
-        verdicts = _ANALYZERS[cfg.name](cfg, out_dir)
+        verdicts = _EXPERIMENTS[cfg.name][1](cfg, out_dir)
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         # only a changed artifact (its hash says which) should fail to parse
         raise VerificationError(f"malformed artifact {', '.join(tampered) or '(none changed)'} "

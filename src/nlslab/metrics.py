@@ -142,13 +142,13 @@ def w2_1d(f: Density, g: Density) -> float:
     return w2
 
 
-def sobolev_norm(field, s: float, grid: Grid | None = None,
-                 mean_zero_tol: float = 1e-8) -> float:
+def sobolev_norm(field, s: float, grid: Grid | None = None) -> float:
     """Homogeneous Sobolev norm (h^d sum |k|^{2s} |u_hat|^2)^{1/2}.
 
     Negative s is only defined for mean-zero inputs (differences of
     equal-mass densities): the k = 0 term is infinite in the continuum,
-    so it is dropped and non-mean-zero inputs are rejected.
+    so it is dropped and inputs whose mean exceeds 1e-8 of their L2 norm
+    (or 1e-8 outright, below unit norm) are rejected.
     """
     if isinstance(field, WaveField):
         grid, values = field.grid, field.values
@@ -164,7 +164,7 @@ def sobolev_norm(field, s: float, grid: Grid | None = None,
     if s < 0:
         mean = abs(grid.integrate(values))
         scale = math.sqrt(float(w * (np.abs(vhat) ** 2).sum())) + 1e-300
-        if mean > mean_zero_tol * max(scale, 1.0):
+        if mean > 1e-8 * max(scale, 1.0):
             raise NormalizationError(
                 f"negative-order norm needs a mean-zero input (mean {mean:.3e})")
         weight = np.where(k_sq > 0, k_sq, 1.0) ** s

@@ -190,22 +190,22 @@ def conservation_row(field: WaveField, envelope: EnvelopeState | None = None) ->
     return row
 
 
-def evolve(fields, plan: StepPlan, t_end: float, observers=(), checkpoints=()):
-    """March one field, or a batch of them, to t_end, landing exactly on each
-    checkpoint (trimmed last steps).
+def evolve(fields, plan: StepPlan, times):
+    """March one field, or a batch of them, through the times, landing exactly
+    on each (trimmed last steps) and ending at times[-1].
 
     fields is a WaveField or a sequence of WaveFields sharing grid, model and
     start time (their sigma may differ); all of them take the same steps.
-    checkpoints is a sorted sequence of times in (start time, t_end].
-    Returns (final field, list of conservation rows), or for a sequence a
-    tuple of final fields and a tuple of row lists.  Each observation, at
-    the start, at each checkpoint and once at t_end, logs one row per field,
-    fires the observers (callables taking the field, or the tuple of fields)
-    and trips BlowUpError if any field's mass has drifted by more than
-    MASS_DRIFT_TRIP of its own starting value.  Lens models step on
-    _lens_schedule_dt from plan.dt and read their envelope at each step's
-    midpoint; the other models step at plan.dt.  The fields march as stacked
-    rows, at most BATCH_POINTS grid points (and at least one row) per stack.
+    times is a non-empty, strictly increasing sequence of finite times after
+    the start time.
+    Returns (states, rows): the field at each of the times and its
+    conservation rows, one at the start and one per time; for a sequence, a
+    tuple of such state lists and a tuple of row lists.  Each row trips
+    BlowUpError if its field's mass has drifted by more than MASS_DRIFT_TRIP
+    of its own starting value.  Lens models step on _lens_schedule_dt from
+    plan.dt and read their envelope at each step's midpoint; the other models
+    step at plan.dt.  The fields march as stacked rows, at most BATCH_POINTS
+    grid points (and at least one row) per stack.
     """
     single = isinstance(fields, WaveField)
     fields = (fields,) if single else tuple(fields)
@@ -216,27 +216,18 @@ def evolve(fields, plan: StepPlan, t_end: float, observers=(), checkpoints=()):
            for f in fields[1:]):
         raise GridError("batched fields must share grid, model and start time")
     grid = first.grid
-    times = [first.time, *map(float, checkpoints)]
-    if times[-1] > t_end or any(b <= a for a, b in zip(times, times[1:])):
-        raise GridError(f"need field time {first.time} < sorted checkpoints <= "
-                        f"t_end {t_end}")
-    logs = tuple([] for _ in fields)
-    unbatch = (lambda batch: batch[0]) if single else (lambda batch: batch)
-    if t_end == first.time:
-        return unbatch(fields), unbatch(logs)
-    targets = times[1:] if times[-1] == t_end else times[1:] + [t_end]
+    targets = [float(t) for t in times]
+    if not targets or not all(a < b < math.inf for a, b in zip([first.time, *targets], targets)):
+        raise GridError(f"need finite times sorted and after the field time {first.time}, "
+                        f"got {targets}")
     env_ats = [_envelope(f.model, f.sigma, grid.dim)[1] for f in fields]
     mass0 = [mass(f) for f in fields]
+    states, logs = tuple([] for _ in fields), tuple([] for _ in fields)
 
     def observe(current):
-        rows = [conservation_row(f, env_at(f.time) if env_at else None)
-                for f, env_at in zip(current, env_ats)]
-        for log, row in zip(logs, rows):
-            log.append(row)
-        for obs in observers:
-            obs(unbatch(current))
-        for f, row, m0 in zip(current, rows, mass0):
-            if abs(row["mass"] - m0) > MASS_DRIFT_TRIP * m0:
+        for f, env_at, log, m0 in zip(current, env_ats, logs, mass0):
+            log.append(conservation_row(f, env_at(f.time) if env_at else None))
+            if abs(log[-1]["mass"] - m0) > MASS_DRIFT_TRIP * m0:
                 raise BlowUpError(f"mass drift tripwire at t = {f.time:.6g}", time=f.time)
 
     dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if env_ats[0] else (lambda t: plan.dt)
@@ -252,8 +243,10 @@ def evolve(fields, plan: StepPlan, t_end: float, observers=(), checkpoints=()):
         for rows, stack in zip(chunks, coefficients):
             marched_rows, t_next = _march(values[rows], grid, t, dts, stack, plan.scheme)
             marched.append(marched_rows)
-        # a fresh stack per segment: the fields observed so far view the old one
+        # a fresh stack per segment: the fields returned so far view the old one
         values, t = np.concatenate(marched), t_next
         current = tuple(f.with_values(v, time=t) for f, v in zip(fields, values))
         observe(current)
-    return unbatch(current), unbatch(logs)
+        for state, f in zip(states, current):
+            state.append(f)
+    return (states[0], logs[0]) if single else (states, logs)

@@ -18,6 +18,11 @@ from .errors import GridError, ScatteringError
 from .grid import Model, WaveField, gradient_norm_sq, l2_distance, mass, position_norm_sq
 from .propagators import StepPlan, evolve, free_flow
 
+# scattering_map's backward refinement: at most this many sweeps, stopping once
+# the L2 defect of the conjugated profile at -T/2 falls below the tolerance
+REFINE_SWEEPS = 5
+REFINE_TOL = 1e-10
+
 
 def strauss_exponent(dim: int) -> float:
     """sigma_0(d) = (2 - d + sqrt(d^2 + 12 d + 4)) / (4 d)."""
@@ -49,15 +54,13 @@ class AsymptoticState:
     converged: bool = False
 
 
-def extract_asymptotic(fields, direction: str = "+") -> AsymptoticState:
+def extract_asymptotic(fields) -> AsymptoticState:
     """Extract u+/u- from a trajectory sampled at dyadic |t| cadences.
 
     `fields` are solution snapshots ordered by increasing |t|; the
     profile residuals must decrease over the last three cadences for the
     extraction to be accepted.
     """
-    if direction not in ("+", "-"):
-        raise GridError(f"direction must be '+' or '-', got {direction!r}")
     fields = list(fields)
     if len(fields) < 4:
         raise GridError("need at least four dyadic cadences to judge convergence")
@@ -73,14 +76,13 @@ def extract_asymptotic(fields, direction: str = "+") -> AsymptoticState:
 
 
 def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
-                   t_infinity: float, n_refine: int = 5,
-                   n_cadences: int = 4, refine_tol: float = 1e-10):
+                   t_infinity: float, n_cadences: int = 4):
     """u- -> u+: backward wave-operator construction then forward extraction.
 
     Returns (AsymptoticState for u+, diagnostics dict).  The backward
     datum at -T is iteratively corrected: evolve to -T/2, compare the
     conjugated profile with u-, and push the defect back through the
-    free flow (at most `n_refine` sweeps).
+    free flow (at most REFINE_SWEEPS sweeps).
     """
     if mass(u_minus) == 0:
         zero = u_minus.with_tags(sigma=sigma, model=Model.DIRECT, time=0.0)
@@ -91,21 +93,19 @@ def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
     base = u_minus.with_tags(sigma=sigma, model=Model.DIRECT, time=0.0)
     datum = free_flow(base, -T)  # free approximation of u(-T)
     defects = []
-    for _ in range(n_refine):
-        half, _ = evolve(datum.with_tags(time=-T), plan, -T / 2.0)
+    for _ in range(REFINE_SWEEPS):
+        [half], _ = evolve(datum.with_tags(time=-T), plan, [-T / 2.0])
         profile = free_conjugate(half)
         defect_vals = profile.values - base.values
         defect = math.sqrt(float(base.grid.integrate(np.abs(defect_vals) ** 2).real))
         defects.append(defect)
-        if defect < refine_tol:
+        if defect < REFINE_TOL:
             break
         correction = free_flow(base.with_values(defect_vals), -T)
         datum = datum.with_values(datum.values - correction.values, time=-T)
-    times = [T * 2**j for j in range(n_cadences)]
-    trajectory = []
-    evolve(datum.with_tags(time=-T), plan, times[-1], observers=(trajectory.append,),
-           checkpoints=times)
-    u_plus = extract_asymptotic(trajectory[1:], "+")
+    trajectory, _ = evolve(datum.with_tags(time=-T), plan,
+                           [T * 2**j for j in range(n_cadences)])
+    u_plus = extract_asymptotic(trajectory)
     if not u_plus.converged:
         raise ScatteringError("forward extraction residuals did not decay",
                               stage="extract-forward")
@@ -119,11 +119,10 @@ def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
     All runs share the datum phi, isolating the |nu - sigma|^theta term;
     theta_hat is the log-log slope of the sup against |nu - sigma|.
     """
-    times, nu_values = list(times), list(nu_values)
-    snaps = []
-    evolve([phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0) for s in (sigma, *nu_values)],
-           plan, times[-1], observers=(snaps.append,), checkpoints=times)
-    ref, *runs = ([free_conjugate(f) for f in run] for run in zip(*snaps[1:]))
+    nu_values = list(nu_values)
+    trajectories, _ = evolve([phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0)
+                              for s in (sigma, *nu_values)], plan, times)
+    ref, *runs = ([free_conjugate(f) for f in run] for run in trajectories)
     rows = []
     for nu, run in zip(nu_values, runs):
         diffs = []

@@ -44,7 +44,7 @@ def test_criterion_1_conservation(acceptance_log, frozen_lens_step):
                               ("rescaled", 0.5, Model.RESCALED),
                               ("log", 0.0, Model.LOG)):
         phi = gaussian_state(grid, 1.0, sigma=sigma, model=model)
-        _, rows = evolve(phi, plan, 10.0, checkpoints=[0.5 * k for k in range(1, 21)])
+        _, rows = evolve(phi, plan, [0.5 * k for k in range(1, 21)])
         drifts[tag] = (_l2_drifts(rows, "mass"), _l2_drifts(rows, "energy"))
     # lens conservation is checked on the frozen-envelope (autonomous)
     # equation, whose energy is exactly conserved by the continuum flow
@@ -72,8 +72,8 @@ def test_criterion_2_splitting_order(acceptance_log):
     ratios = {}
     for model, sigma in specs:
         phi = gaussian_state(grid, 1.0, sigma=sigma, model=model)
-        ref, _ = evolve(phi, StepPlan(1.25e-4), 1.0)
-        errs = [l2_distance(evolve(phi, StepPlan(dt), 1.0)[0], ref)
+        [ref], _ = evolve(phi, StepPlan(1.25e-4), [1.0])
+        errs = [l2_distance(evolve(phi, StepPlan(dt), [1.0])[0][-1], ref)
                 for dt in (4e-3, 2e-3, 1e-3)]
         ratios[model.value] = [a / b for a, b in zip(errs, errs[1:])]
     ok = all(3.5 <= r <= 4.5 for rs in ratios.values() for r in rs)
@@ -150,12 +150,7 @@ def test_criterion_5_tau_difference_bound(acceptance_log):
 
 def _sup_l2_trace(grid, base, nus, plan, times):
     def trajectory(s):
-        cur = gaussian_state(grid, 1.0, sigma=s, model=Model.DIRECT)
-        out = []
-        for t in times:
-            cur, _ = evolve(cur, plan, t)
-            out.append(cur)
-        return out
+        return evolve(gaussian_state(grid, 1.0, sigma=s, model=Model.DIRECT), plan, times)[0]
 
     ref = trajectory(base)
     sups = [max(l2_distance(a, b) for a, b in zip(trajectory(nu), ref))
@@ -207,11 +202,8 @@ def test_criterion_7_global_interaction_picture(acceptance_log):
     decays = sum(b < a for a, b in zip(hist, hist[1:]))
 
     control = gaussian_state(g2, 1.0, sigma=0.8, amplitude=0.7)
-    traj, cur = [], control
-    for t in (4.0, 8.0, 16.0, 32.0):
-        cur, _ = evolve(cur, StepPlan(5e-3), t)
-        traj.append(cur)
-    stalled = not extract_asymptotic(traj, "+").converged
+    traj, _ = evolve(control, StepPlan(5e-3), (4.0, 8.0, 16.0, 32.0))
+    stalled = not extract_asymptotic(traj).converged
 
     ok = (0.8 <= theta <= 1.2 and sat <= 0.05
           and state.converged and decays >= 2 and stalled)
@@ -230,9 +222,8 @@ def test_criterion_8_uniform_w1(acceptance_log):
 
     def densities(s):
         phi = gaussian_state(grid, 1.0, sigma=s, model=Model.DIRECT_LENS)
-        snaps = []
-        evolve(phi, StepPlan(1e-3), times[-1], observers=(snaps.append,), checkpoints=times)
-        return [density_from_field(f) for f in snaps[1:]]
+        snaps, _ = evolve(phi, StepPlan(1e-3), times)
+        return [density_from_field(f) for f in snaps]
 
     ref = densities(base)
     by_gap = {}
@@ -291,11 +282,7 @@ def test_criterion_10_log_limit_local(acceptance_log):
     phi0 = gaussian_state(grid, 1.0, sigma=0.0, model=Model.LOG)
 
     def trajectory(field):
-        cur, out = field, []
-        for t in times:
-            cur, _ = evolve(cur, plan, t)
-            out.append(cur)
-        return out
+        return evolve(field, plan, times)[0]
 
     ref = trajectory(phi0)
     c0s, rate = [], []
@@ -322,10 +309,9 @@ def test_criterion_11_gaussian_profile(acceptance_log):
     grid = make_grid(1, 512, 30.0)
     phi = gaussian_state(grid, 3.0, sigma=0.0, model=Model.RESCALED_LENS)
     targets = [10.0, 1e2, 1e3, 2e3, 4e3, 1e4]
-    fields = []
-    evolve(phi, StepPlan(1e-3), targets[-1], observers=(fields.append,), checkpoints=targets)
+    fields, _ = evolve(phi, StepPlan(1e-3), targets)
     envelope = TauEnvelope(0.0, 1)
-    snap = [(f, envelope.state(f.time)) for f in fields[1:]]
+    snap = [(f, envelope.state(f.time)) for f in fields]
     gamma = gaussian_gamma(grid)
     decades = {10.0, 1e2, 1e3, 1e4}
     ws = [(t, w1_1d_dilated(density_from_field(f), gamma, PROFILE_DILATION))
@@ -352,9 +338,8 @@ def test_criterion_12_log_limit_global(acceptance_log):
 
     def densities(s):
         phi = gaussian_state(grid, 1.0, sigma=s, model=Model.RESCALED_LENS)
-        snaps = []
-        evolve(phi, StepPlan(1e-3), times[-1], observers=(snaps.append,), checkpoints=times)
-        return [density_from_field(f) for f in snaps[1:]]
+        snaps, _ = evolve(phi, StepPlan(1e-3), times)
+        return [density_from_field(f) for f in snaps]
 
     ref = densities(0.0)
     sups = []

@@ -191,7 +191,7 @@ def test_vectorised_reads_equal_scalar_reads():
             taus = env.taus(chunk)
             if sigma:   # an exponent no other test reads: every chunk grows it
                 assert reach <= chunk[-1] < env._table.edges[-1]
-            assert np.array_equal(taus, [env.tau(t) for t in chunk])
+            assert np.array_equal(taus, [env.state(t).tau for t in chunk])
     assert np.array_equal(envelope.chevron_taus(times),
                           [chevron_state(t, 0.3, 1).tau for t in times])
     for bad in (-1e-3, math.nan, math.inf):

@@ -190,15 +190,15 @@ def test_unexpected_error_replaces_stale_record(tmp_path, monkeypatch):
     from nlslab import experiments
     cfg = _tiny_ode_config()
     out = str(tmp_path)
-    monkeypatch.setitem(experiments._RUNNERS, cfg.name,
-                        lambda c: {"x.csv": (("a",), [(1.0,)])})
-    monkeypatch.setitem(experiments._ANALYZERS, cfg.name,
-                        lambda c, d: [{"check": "stub", "passed": True, "detail": ""}])
+    monkeypatch.setitem(experiments._EXPERIMENTS, cfg.name,
+                        (lambda c: {"x.csv": (("a",), [(1.0,)])},
+                         lambda c, d: [{"check": "stub", "passed": True, "detail": ""}], {}))
     assert run(cfg, out).passed and verify(out)["ok"]
 
     def broken(c):
         raise ValueError("not a package error")
-    monkeypatch.setitem(experiments._RUNNERS, cfg.name, broken)
+    monkeypatch.setitem(experiments._EXPERIMENTS, cfg.name,
+                        (broken, *experiments._EXPERIMENTS[cfg.name][1:]))
     record = run(cfg, out)
     assert record.status == "failed" and record.stage == "ValueError"
     stored = RunRecord.load(os.path.join(out, "record.json"))
@@ -277,8 +277,13 @@ def _config_text(change):
     _config_text(lambda d: d.update(n=128.9)),
     _config_text(lambda d: d.update(n_times=0)),
     _config_text(lambda d: d.update(n_times=2.5)),
+    _config_text(lambda d: d.update(dt="abc")),
+    _config_text(lambda d: d.update(half_length="abc")),
+    _config_text(lambda d: d.update(t0="abc")),
+    _config_text(lambda d: d.update(width=None)),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
-        "zero-n-times", "non-integer-n-times"])
+        "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
+        "null-width"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

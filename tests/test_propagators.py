@@ -110,8 +110,8 @@ def test_plan_validation():
 
 def _richardson_ratio(phi, dts, t_end, stepper=None):
     plan_ref = StepPlan(dts[-1] / 8.0)
-    ref, _ = evolve(phi, plan_ref, t_end)
-    errs = [l2_distance(evolve(phi, StepPlan(dt), t_end)[0], ref) for dt in dts]
+    [ref], _ = evolve(phi, plan_ref, [t_end])
+    errs = [l2_distance(evolve(phi, StepPlan(dt), [t_end])[0][-1], ref) for dt in dts]
     return [a / b for a, b in zip(errs, errs[1:])]
 
 
@@ -123,8 +123,8 @@ def test_strang_second_order_direct(grid1d):
 
 def test_lie_first_order_direct(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0, model=Model.DIRECT)
-    ref, _ = evolve(phi, StepPlan(1.25e-4), 0.5)
-    errs = [l2_distance(evolve(phi, StepPlan(dt, scheme="lie"), 0.5)[0], ref)
+    [ref], _ = evolve(phi, StepPlan(1.25e-4), [0.5])
+    errs = [l2_distance(evolve(phi, StepPlan(dt, scheme="lie"), [0.5])[0][-1], ref)
             for dt in (2e-3, 1e-3)]
     assert 1.7 <= errs[0] / errs[1] <= 2.4
 
@@ -136,10 +136,10 @@ def test_gauge_equivalence_direct_rescaled(grid1d):
     # rescaled-model evolution of the scaled datum, substep for substep
     s, t_end = 0.8, 0.2
     phi = gaussian_state(grid1d, 1.0, sigma=s, model=Model.DIRECT)
-    u, _ = evolve(phi, StepPlan(1e-3), t_end)
+    [u], _ = evolve(phi, StepPlan(1e-3), [t_end])
     scale = s ** (1.0 / (2.0 * s))
     psi0 = phi.with_values(scale * phi.values).with_tags(model=Model.RESCALED)
-    w, _ = evolve(psi0, StepPlan(1e-3), t_end)
+    [w], _ = evolve(psi0, StepPlan(1e-3), [t_end])
     bridged = scale * u.values * np.exp(1j * t_end / s)
     err = math.sqrt(float(grid1d.integrate(np.abs(w.values - bridged) ** 2).real))
     assert err <= 1e-12
@@ -178,7 +178,7 @@ def test_log_model_matches_gaussian_ode_oracle(grid1d):
     exact = np.exp(P - 0.5 * Q * grid1d.x**2)
 
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
-    out, _ = evolve(phi, StepPlan(5e-4), t_end)
+    [out], _ = evolve(phi, StepPlan(5e-4), [t_end])
     err = math.sqrt(float(grid1d.integrate(np.abs(out.values - exact) ** 2).real))
     assert err <= 1e-6
 
@@ -189,9 +189,9 @@ def test_log_floor_insensitivity(grid1d, monkeypatch):
     # sensitivity ~7e-8 sits well below the dt = 1e-3 splitting error
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 1e-12)
-    a, _ = evolve(phi, StepPlan(1e-3), 1.0)
+    [a], _ = evolve(phi, StepPlan(1e-3), [1.0])
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 5e-13)
-    b, _ = evolve(phi, StepPlan(1e-3), 1.0)
+    [b], _ = evolve(phi, StepPlan(1e-3), [1.0])
     assert l2_distance(a, b) <= 2e-7
 
 
@@ -218,56 +218,52 @@ def test_lens_position_norm_stays_bounded(grid1d):
     from nlslab import position_norm_sq
     phi = gaussian_state(grid1d, 1.0, sigma=0.1, model=Model.RESCALED_LENS)
     y0 = position_norm_sq(phi)
-    final, _ = evolve(phi, StepPlan(5e-3), 50.0)
+    [final], _ = evolve(phi, StepPlan(5e-3), [50.0])
     assert position_norm_sq(final) <= 20.0 * max(y0, 1.0)
 
 
 # ------------------------------------------------------------- evolve
 
-def test_evolve_identity_at_t0(grid1d):
-    phi = gaussian_state(grid1d, 1.0, sigma=1.0)
-    out, log = evolve(phi, StepPlan(1e-3), 0.0)
-    assert out is phi and log == []
-
-
 def test_evolve_rejects_backward_target(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     with pytest.raises(GridError):
-        evolve(phi, StepPlan(1e-3), -1.0)
+        evolve(phi, StepPlan(1e-3), [-1.0])
 
 
-@pytest.mark.parametrize("checkpoints", [(0.0, 0.5), (0.5, 0.2), (0.5, 0.5), (0.5, 2.0)],
-                         ids=["at-start", "unsorted", "repeated", "past-t_end"])
+@pytest.mark.parametrize("checkpoints", [(0.0, 0.5), (0.5, 0.2), (0.5, 0.5), (),
+                                         (0.5, math.nan), (0.5, math.inf)],
+                         ids=["at-start", "unsorted", "repeated", "empty", "nan", "inf"])
 def test_evolve_rejects_bad_checkpoints(grid1d, checkpoints):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     with pytest.raises(GridError):
-        evolve(phi, StepPlan(1e-3), 1.0, checkpoints=checkpoints)
+        evolve(phi, StepPlan(1e-3), checkpoints)
 
 
 def test_evolve_rejects_nonpositive_dt(grid1d):
     # a backward StepPlan is valid for one step, but evolve only marches forward
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     with pytest.raises(GridError):
-        evolve(phi, StepPlan(-1e-3), 0.01)
+        evolve(phi, StepPlan(-1e-3), [0.01])
     lens = gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
     with pytest.raises(GridError):
-        evolve(lens, StepPlan(-1e-3), 0.01)
+        evolve(lens, StepPlan(-1e-3), [0.01])
 
 
 def test_evolve_trims_final_step(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
-    out, log = evolve(phi, StepPlan(1e-3), 0.0105)
+    [out], log = evolve(phi, StepPlan(1e-3), [0.0105])
     assert out.time == pytest.approx(0.0105, abs=1e-12)
     assert abs(log[-1]["mass"] - log[0]["mass"]) <= 1e-11
 
 
-def test_evolve_observer_cadence(grid1d):
+def test_evolve_row_cadence(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
-    seen = []
-    _, log = evolve(phi, StepPlan(1e-3), 0.02, observers=(lambda f: seen.append(f.time),),
-                    checkpoints=(5e-3, 1e-2, 1.5e-2, 2e-2))
-    assert len(log) >= 5           # initial + 4 checkpoints, the last at t_end
-    assert seen[0] == 0.0
+    times = (5e-3, 1e-2, 1.5e-2, 2e-2)
+    states, log = evolve(phi, StepPlan(1e-3), times)
+    assert len(log) == 5           # initial + one per time
+    assert log[0]["t"] == 0.0
+    assert [f.time for f in states] == [row["t"] for row in log[1:]]
+    assert [f.time for f in states] == pytest.approx(times, abs=1e-15)
 
 
 # ------------------------------------------------------------- fused core
@@ -301,17 +297,16 @@ def _rel_l2(a, b):
 def test_evolve_matches_chained_steps(grid1d, model, sigma, scheme, checkpoints):
     # merged Strang half kicks are exact: the fused march equals one
     # step call per step up to roundoff, at a trimmed final step and at
-    # every observation point
+    # every checkpoint
     t_end = 0.0105
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    seen = []
-    out, _ = evolve(phi, StepPlan(1e-3, scheme=scheme), t_end, observers=(seen.append,),
-                    checkpoints=checkpoints)
+    seen, rows = evolve(phi, StepPlan(1e-3, scheme=scheme), [*checkpoints, t_end])
     (*_, ref), states = _chained_steps(phi, lambda t: 1e-3, [*checkpoints, t_end],
                                        1e-12 * max(1.0, t_end), scheme)
+    out = seen[-1]
     assert out.time == ref.time and _rel_l2(out, ref) <= 1e-12
-    assert len(seen) == (5 if checkpoints else 2)   # start, 3 checkpoints, t_end
-    for f in seen[1:]:
+    assert len(rows) == (5 if checkpoints else 2)   # start, 3 checkpoints, t_end
+    for f in seen:
         assert _rel_l2(f, states[f.time]) <= 1e-12
 
 
@@ -321,10 +316,9 @@ def test_lens_trajectory_matches_chained_steps(grid1d, model, sigma):
     # growing, trimmed steps: the schedule doubles dt0 by t = 4
     dt0, targets = 0.05, (0.3, 2.55, 4.0)
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    snaps = []
-    evolve(phi, StepPlan(dt0), targets[-1], observers=(snaps.append,), checkpoints=targets)
+    snaps, _ = evolve(phi, StepPlan(dt0), targets)
     refs, _ = _chained_steps(phi, lambda t: _lens_schedule_dt(t, dt0), targets, 1e-12)
-    for f, ref, target in zip(snaps[1:], refs, targets):
+    for f, ref, target in zip(snaps, refs, targets):
         assert f.time == ref.time and f.time == pytest.approx(target)
         assert _rel_l2(f, ref) <= 1e-12
 
@@ -345,7 +339,7 @@ def test_non_finite_mid_segment_raises_at_step_time(grid1d, monkeypatch, model):
     monkeypatch.setattr(propagators, "nonlinear_phase", poisoned)
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     with pytest.raises(BlowUpError) as err:
-        evolve(phi, StepPlan(1e-3), 0.02)
+        evolve(phi, StepPlan(1e-3), [0.02])
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
 
 
@@ -357,13 +351,12 @@ def test_checkpoints_equal_chained_evolve(grid1d, model, sigma, dt0, targets):
     # one march through the checkpoints is the chain of single-target
     # evolve calls, bit for bit, on fixed and on growing lens steps
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    snaps = []
-    evolve(phi, StepPlan(dt0), targets[-1], observers=(snaps.append,), checkpoints=targets)
+    snaps, rows = evolve(phi, StepPlan(dt0), targets)
     cur = phi
-    for f, target in zip(snaps[1:], targets):
-        cur, _ = evolve(cur, StepPlan(dt0), target)
+    for f, target in zip(snaps, targets):
+        [cur], _ = evolve(cur, StepPlan(dt0), [target])
         assert f.time == cur.time and np.array_equal(f.values, cur.values)
-    assert len(snaps) == len(targets) + 1
+    assert len(snaps) == len(targets) and len(rows) == len(targets) + 1
 
 
 @pytest.mark.parametrize("model", [Model.RESCALED, Model.RESCALED_LENS],
@@ -373,11 +366,12 @@ def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
     # trips the same 1e-8 rule on either path, at the first observation past it
     real = grid_module.power_ratio
     monkeypatch.setattr(grid_module, "power_ratio", lambda rho, s: real(rho, s) + 1e-3j)
+    row, seen = propagators.conservation_row, []
+    monkeypatch.setattr(propagators, "conservation_row",
+                        lambda f, env: seen.append(f.time) or row(f, env))
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
-    seen = []
     with pytest.raises(BlowUpError) as err:
-        evolve(phi, StepPlan(1e-3), 0.02, observers=(lambda f: seen.append(f.time),),
-               checkpoints=(5e-3, 1e-2))
+        evolve(phi, StepPlan(1e-3), (5e-3, 1e-2, 0.02))
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
     assert seen == [0.0, err.value.time]
 
@@ -393,22 +387,17 @@ def _batch(grid, model, sigmas):
     return [gaussian_state(grid, 1.0, sigma=s, model=model) for s in sigmas]
 
 
-def _assert_batch_equals_single_runs(fields, plan, t_end, checkpoints):
-    seen = []
-    finals, logs = evolve(fields, plan, t_end, observers=(seen.append,),
-                          checkpoints=checkpoints)
-    assert isinstance(finals, tuple) and len(finals) == len(logs) == len(fields)
-    for i, phi in enumerate(fields):
-        single = []
-        final, log = evolve(phi, plan, t_end, observers=(single.append,),
-                            checkpoints=checkpoints)
-        assert len(single) == len(seen)
-        for batch_snap, f in zip(seen, single):
-            assert batch_snap[i].time == f.time
-            assert batch_snap[i].sigma == f.sigma
-            assert np.array_equal(batch_snap[i].values, f.values)
-        assert np.array_equal(finals[i].values, final.values)
-        assert logs[i] == log
+def _assert_batch_equals_single_runs(fields, plan, times):
+    runs, logs = evolve(fields, plan, times)
+    assert isinstance(runs, tuple) and len(runs) == len(logs) == len(fields)
+    for phi, run, log in zip(fields, runs, logs):
+        single, single_log = evolve(phi, plan, times)
+        assert len(run) == len(single) == len(times)
+        for batch_snap, f in zip(run, single):
+            assert batch_snap.time == f.time
+            assert batch_snap.sigma == f.sigma
+            assert np.array_equal(batch_snap.values, f.values)
+        assert log == single_log
 
 
 @pytest.mark.parametrize("scheme", ["strang", "lie"])
@@ -416,8 +405,8 @@ def _assert_batch_equals_single_runs(fields, plan, t_end, checkpoints):
 def test_batched_evolve_equals_per_field_evolve(grid1d, model, scheme):
     # one stacked march over three sigmas is the three single marches, bit for bit
     fields = _batch(grid1d, model, _BATCH_SIGMAS[model])
-    _assert_batch_equals_single_runs(fields, StepPlan(1e-3, scheme=scheme), 0.0105,
-                                     (3e-3, 6e-3, 9e-3))
+    _assert_batch_equals_single_runs(fields, StepPlan(1e-3, scheme=scheme),
+                                     (3e-3, 6e-3, 9e-3, 0.0105))
 
 
 def test_batched_evolve_splits_at_batch_points():
@@ -426,7 +415,7 @@ def test_batched_evolve_splits_at_batch_points():
     grid = make_grid(1, 4096, 40.0)
     assert 3 * 4096 > propagators.BATCH_POINTS
     fields = _batch(grid, Model.DIRECT, (1.0, 0.8, 1.2))
-    _assert_batch_equals_single_runs(fields, StepPlan(1e-3), 5e-3, (2e-3,))
+    _assert_batch_equals_single_runs(fields, StepPlan(1e-3), (2e-3, 5e-3))
 
 
 def test_batched_evolve_rejects_mismatched_fields(grid1d):
@@ -435,7 +424,7 @@ def test_batched_evolve_rejects_mismatched_fields(grid1d):
     for bad in ([phi, other_grid], [phi, phi.with_tags(model=Model.RESCALED)],
                 [phi, phi.with_tags(time=0.5)], []):
         with pytest.raises(GridError):
-            evolve(bad, StepPlan(1e-3), 1.0)
+            evolve(bad, StepPlan(1e-3), [1.0])
 
 
 def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
@@ -446,21 +435,20 @@ def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
                         lambda rho, s: real(rho, s) + 1e-3j * (s == 0.4))
     fields = _batch(grid1d, Model.RESCALED, (0.3, 0.4, 0.5))
     with pytest.raises(BlowUpError) as err:
-        evolve(fields, StepPlan(1e-3), 0.02, checkpoints=(5e-3, 1e-2))
+        evolve(fields, StepPlan(1e-3), (5e-3, 1e-2, 0.02))
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
 
 
 def test_batched_snapshots_stay_frozen(grid1d):
-    # observed fields view the stack of their segment; later segments must
-    # never write into it
+    # returned fields view the stack of their segment; later segments must
+    # never write into it, so each equals a march that stops at its time
     fields = _batch(grid1d, Model.RESCALED_LENS, _BATCH_SIGMAS[Model.RESCALED_LENS])
-    seen = []
-    evolve(fields, StepPlan(1e-3), 0.01, checkpoints=(2e-3, 5e-3),
-           observers=(lambda fs: seen.append((fs, [f.values.copy() for f in fs])),))
-    assert len(seen) == 4
-    for snaps, copies in seen[1:]:
-        for f, copy in zip(snaps, copies):
-            assert np.array_equal(f.values, copy)
+    times = (2e-3, 5e-3, 0.01)
+    runs, _ = evolve(fields, StepPlan(1e-3), times)
+    for k in range(len(times) - 1):
+        stopped, _ = evolve(fields, StepPlan(1e-3), times[:k + 1])
+        for run, ref in zip(runs, stopped):
+            assert np.array_equal(run[k].values, ref[k].values)
 
 
 @pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])

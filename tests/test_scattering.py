@@ -68,9 +68,7 @@ def test_sigma_norm_gaussian(grid1d):
 def test_extract_needs_four_cadences(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.5)
     with pytest.raises(GridError):
-        extract_asymptotic([phi, phi, phi], "+")
-    with pytest.raises(GridError):
-        extract_asymptotic([phi] * 5, "forward")
+        extract_asymptotic([phi, phi, phi])
 
 
 def _perturbed_trajectory(phi, deltas, rng):
@@ -84,7 +82,7 @@ def test_extract_accepts_decaying_residuals(grid1d, rng):
     # synthetic trajectory whose profile converges geometrically
     phi = gaussian_state(grid1d, 1.0, sigma=1.5)
     st = extract_asymptotic(
-        _perturbed_trajectory(phi, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4), rng), "+")
+        _perturbed_trajectory(phi, (1e-2, 3e-3, 1e-3, 3e-4, 1e-4), rng))
     assert st.converged
     assert st.extraction_time == 16.0
     assert len(st.residual_history) == 4
@@ -95,7 +93,7 @@ def test_extract_flags_stalled_residuals(grid1d, rng):
     # growing profile defects must not be reported as convergence
     phi = gaussian_state(grid1d, 1.0, sigma=1.5)
     st = extract_asymptotic(
-        _perturbed_trajectory(phi, (1e-4, 3e-4, 1e-3, 3e-3, 1e-2), rng), "-")
+        _perturbed_trajectory(phi, (1e-4, 3e-4, 1e-3, 3e-3, 1e-2), rng))
     assert not st.converged
 
 
@@ -103,7 +101,7 @@ def test_extract_free_trajectory_residuals_vanish(grid1d):
     # exactly free data: every profile is identical to roundoff (the
     # converged flag compares noise with noise, so only sizes are checked)
     phi = gaussian_state(grid1d, 1.0, sigma=1.5)
-    st = extract_asymptotic([free_flow(phi, t) for t in (1.0, 2.0, 4.0, 8.0)], "+")
+    st = extract_asymptotic([free_flow(phi, t) for t in (1.0, 2.0, 4.0, 8.0)])
     assert st.residual <= 1e-10
     assert max(st.residual_history) <= 1e-10
     assert l2_distance(st.state, phi) <= 1e-10
