@@ -104,21 +104,29 @@ class Grid:
     def kinetic_multiplier(self, weights) -> np.ndarray:
         """exp(-i w |k|^2 / 2) for each weight w, stacked as (len(weights), *shape).
 
-        exp runs on the N/2 + 1 values per axis that |k|^2 takes and is taken
-        back to the grid, so each value is that of the full evaluation."""
+        cos and sin run on the N/2 + 1 values per axis that |k|^2 takes and are
+        taken back to the grid; each value is bitwise that of the full complex
+        exp, which multiplies the same cos and sin by e^0 = 1."""
         values, index = self._k_sq_folded
-        table = np.exp(np.multiply.outer([-0.5j * w for w in weights], values))
+        angles = np.multiply.outer([-0.5 * w for w in weights], values)
+        table = np.empty(angles.shape, dtype=np.complex128)
+        np.cos(angles, out=table.real)
+        np.sin(angles, out=table.imag)
         return np.take(table, index, axis=1)
 
     def integrate(self, values: np.ndarray) -> float | complex:
         return self.cell_volume * values.sum()
 
-    # fftn's per-axis bookkeeping costs a tenth of a 1-D transform at N = 2048
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fft(values) if self.dim == 1 else np.fft.fft2(values)
+    # fftn's per-axis bookkeeping costs a tenth of a 1-D transform at N = 2048.
+    # out may be values itself: the transform then runs in place, bitwise the same.
+    def fft(self, values: np.ndarray, out=None) -> np.ndarray:
+        return np.fft.fft(values, out=out) if self.dim == 1 else np.fft.fft2(values, out=out)
 
-    def ifft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(values) if self.dim == 1 else np.fft.ifft2(values)
+    def ifft(self, values: np.ndarray, out=None) -> np.ndarray:
+        if self.dim == 1:
+            return np.fft.ifft(values, out=out)
+        # numpy 2.4's ifft2 drops out; ifftn over the same two axes is the same transform
+        return np.fft.ifftn(values, axes=(-2, -1), out=out)
 
     def gradient(self, values: np.ndarray):
         """Spectral gradient, one array per axis."""

@@ -233,3 +233,21 @@ def test_kinetic_multiplier_equals_full_exponential(grid):
     for row, w in zip(table, weights):
         assert np.array_equal(row, np.exp(-0.5j * w * grid.k_sq))
     assert grid._k_sq_folded[0].size == (grid.n // 2 + 1) ** grid.dim
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 64, 7.0), make_grid(2, 32, 5.0)],
+                         ids=["1d", "2d"])
+def test_fft_in_place_equals_out_of_place(grid):
+    # the march transforms its one buffer in place (out= the input); a stack
+    # of rows and a single field both give numpy's out-of-place fft/ifft
+    # (fft2/ifft2 at d = 2) bitwise
+    rng = np.random.default_rng(12)
+    numpy_pair = ((np.fft.fft, np.fft.ifft) if grid.dim == 1
+                  else (np.fft.fft2, np.fft.ifft2))
+    for shape in (grid.shape, (3,) + grid.shape):
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for transform, reference in zip((grid.fft, grid.ifft), numpy_pair):
+            buffer = values.copy()
+            assert transform(buffer, out=buffer) is buffer
+            assert np.array_equal(buffer, reference(values))
+            assert np.array_equal(transform(values), reference(values))

@@ -376,6 +376,56 @@ def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
     assert seen == [0.0, err.value.time]
 
 
+# ------------------------------------------------------------- phase rotation
+
+def _cos_sin(theta):
+    return np.cos(theta) - 1j * np.sin(theta)
+
+
+def test_rotation_matches_cos_sin():
+    # the one-tan rotation is pinned to cos - i sin: 1e-15 absolute, unit
+    # modulus to 2e-15, at the half-angle poles (theta = pi, 3 pi), signed
+    # zeros, an angle whose square underflows, a dense sweep to 1e3 and a 2-D stack
+    special = np.array([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi, 1e-300])
+    sweep = np.linspace(-1e3, 1e3, 400_001)
+    stack = np.random.default_rng(5).uniform(-60.0, 60.0, (4, 512))
+    for theta in (special, sweep, stack):
+        e = propagators.rotation(theta.copy(), np.empty(theta.shape, dtype=complex))
+        assert e.shape == theta.shape
+        assert np.abs(e - _cos_sin(theta)).max() <= 1e-15
+        assert np.abs(np.abs(e) ** 2 - 1.0).max() <= 2e-15
+
+
+def test_rotation_complex_theta_and_non_finite():
+    # a complex theta (a gain or a loss) is exp(-i theta) by the same formula;
+    # NaN and +-inf stay non-finite, so the march's blow-up check sees them
+    rng = np.random.default_rng(6)
+    theta = rng.uniform(-50.0, 50.0, 256) + 1j * rng.uniform(-2.0, 2.0, 256)
+    e = propagators.rotation(theta.copy(), np.empty(theta.shape, dtype=complex))
+    assert np.allclose(e, np.exp(-1j * theta), rtol=1e-14, atol=0.0)
+    bad = np.array([np.nan, np.inf, -np.inf])
+    with np.errstate(invalid="ignore"):
+        e = propagators.rotation(bad.copy(), np.empty(bad.shape, dtype=complex))
+    assert not np.isfinite(e).any()
+
+
+@pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
+def test_march_never_writes_its_input(grid1d, model, sigma):
+    # the march transforms one buffer in place; it must be its own copy, so a
+    # writable input stack and a field passed to step are left bitwise as they were
+    phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model, phase_slope=0.4)
+    stack = np.stack([phi.values, 0.5 * phi.values])
+    before = stack.copy()
+    coefficients = propagators._coefficients(model, (sigma, sigma), grid1d)
+    marched, _ = propagators._march(stack, grid1d, 0.0, [1e-2] * 3, coefficients, "strang")
+    assert not np.shares_memory(marched, stack)
+    assert np.array_equal(stack, before)
+    values = phi.values.copy()
+    out = step(phi, StepPlan(1e-2))
+    assert np.array_equal(phi.values, values)
+    assert not np.array_equal(out.values, values)
+
+
 # ------------------------------------------------------------- batched march
 
 _BATCH_SIGMAS = {Model.DIRECT: (1.0, 0.8, 1.2), Model.RESCALED: (0.5, 0.3, 0.7),
