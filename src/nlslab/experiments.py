@@ -58,15 +58,15 @@ class ExperimentConfig:
                     or not float(value).is_integer():
                 raise GridError(f"invalid config: {key} must be an integer, got {value!r}")
             object.__setattr__(self, key, int(value))
-        for key in ("half_length", "dt", "width", "t0"):
-            value = getattr(self, key)
+        if not self.sigmas:
+            raise GridError("invalid config: sigmas must be a nonempty list")
+        reals = [(key, getattr(self, key)) for key in ("half_length", "dt", "width", "t0")]
+        for key, value in reals + [("sigma", s) for s in self.sigmas]:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                     or not math.isfinite(value):
                 raise GridError(f"invalid config: {key} must be a finite real, got {value!r}")
         if self.n_times < 1:
             raise GridError(f"invalid config: n_times must be >= 1, got {self.n_times}")
-        if not self.sigmas:
-            raise GridError("config needs a nonempty sigma list")
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
         _validate_sigma_window(self.name, self.sigmas, self.dim)
 
@@ -95,19 +95,25 @@ class ExperimentConfig:
 
 
 def _validate_sigma_window(name: str, sigmas, dim: int) -> None:
+    # these fit or group their runs by the gap to sigmas[0], as uniform-w1 groups them
+    gaps = {round(abs(nu - sigmas[0]), 12) for nu in sigmas[1:]}
+    if name in ("local-continuity", "global-interaction-picture", "uniform-w1") \
+            and (len(gaps) < 2 or 0.0 in gaps):
+        raise GridError(f"invalid config: {name} needs at least two distinct gaps "
+                        f"|nu - sigmas[0]|, all nonzero, got {sorted(gaps)}")
     if name == "global-interaction-picture":
         s0 = strauss_exponent(dim)
         if min(sigmas) <= s0:
-            raise GridError(f"{name} needs every sigma > {s0:.4f}")
+            raise GridError(f"invalid config: {name} needs every sigma > {s0:.4f}")
     elif name in ("uniform-w1", "log-limit-local", "log-limit-global"):
         if not all(0.0 < s < 1.0 / dim for s in sigmas):
-            raise GridError(f"{name} needs sigma in (0, 1/d)")
+            raise GridError(f"invalid config: {name} needs sigma in (0, 1/d)")
     elif name in ("gaussian-profile", "sobolev-growth"):
         if any(s != 0.0 for s in sigmas):
-            raise GridError(f"{name} studies the sigma = 0 flow only")
+            raise GridError(f"invalid config: {name} studies the sigma = 0 flow only")
     elif name == "ode-suite":
         if not all(0.0 <= s for s in sigmas):
-            raise GridError("ode-suite needs sigma >= 0")
+            raise GridError("invalid config: ode-suite needs sigma >= 0")
     # scattering-continuity deliberately mixes short- and long-range sigmas
 
 

@@ -14,17 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeState, TauEnvelope, chevron_state, chevron_taus
+from .envelope import TauEnvelope, chevron_taus
 from .errors import BlowUpError, EnvelopeError, GridError
 from .grid import (Model, WaveField, edge_density, energy_from_gradient, gradient_norm_sq,
                    lp_norm, mass, nonlinear_phase)
 
 MASS_DRIFT_TRIP = 1e-8
 LENS_DT_CAP = 0.25
-# Most grid points evolve marches as one stacked array.  A stacked march beats
-# one row at a time for rows of up to 4096 points, but a stacked FFT of rows
-# of 8192 points loses to per-row calls, so rows that large march one at a time.
-BATCH_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -32,13 +28,10 @@ class StepPlan:
     """Time-step parameters of `step` and `evolve`."""
 
     dt: float
-    scheme: str = "strang"
 
     def __post_init__(self):
         if self.dt == 0 or not math.isfinite(self.dt):
             raise GridError(f"dt must be a nonzero finite real, got {self.dt}")
-        if self.scheme not in ("strang", "lie"):
-            raise GridError(f"unknown scheme {self.scheme!r}")
 
 
 def _coefficients(model: Model, sigmas, grid):
@@ -59,7 +52,7 @@ def _coefficients(model: Model, sigmas, grid):
                             f"model), got {s}")
     column = (len(sigmas),) + (1,) * grid.dim
     phase = nonlinear_phase(model, np.reshape(np.array(sigmas, dtype=float), column))
-    readers = [_envelope(model, s, grid.dim)[0] for s in sigmas]
+    readers = [_envelope(model, s, grid.dim) for s in sigmas]
     if readers[0] is None:
         return phase, lambda times, dts: (np.ones((len(dts), len(sigmas))), None, None)
 
@@ -84,14 +77,12 @@ def _coefficients(model: Model, sigmas, grid):
 
 
 def _envelope(model: Model, sigma: float, dim: int):
-    """(times -> tau array, t -> EnvelopeState) of a lens model; (None, None)
-    for the autonomous models."""
+    """A lens model's envelope reader, times -> tau array; None for the others."""
     if model is Model.DIRECT_LENS:
-        return chevron_taus, lambda t: chevron_state(t, sigma, dim)
+        return chevron_taus
     if model is Model.RESCALED_LENS:
-        env = TauEnvelope(sigma, dim)
-        return env.taus, env.state
-    return None, None
+        return TauEnvelope(sigma, dim).taus
+    return None
 
 
 def _lens_schedule_dt(t: float, dt0: float) -> float:
@@ -138,16 +129,16 @@ def rotation(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _march(values: np.ndarray, grid, t: float, dts, coefficients, scheme: str):
-    """Split-step the stacked rows `values` (rows, *grid.shape) from time t through
-    the steps dts; returns (values, t) at the end.
+def _march(values: np.ndarray, grid, t: float, dts, coefficients):
+    """Strang-split the stacked rows `values` (rows, *grid.shape) from time t
+    through the steps dts; returns (values, t) at the end.
 
-    coefficients is the stack's (phase, schedule) from _coefficients.  Lie kicks
-    by kappa dt, then applies the phase.  Strang's adjacent half kicks commute,
-    so each pair is applied as one multiplier: two FFTs per step for the whole
-    stack, with the full state formed only at the segment end.  Each pointwise
-    operation is one pass over the stack.  The march copies values once and
-    transforms that copy in place, so the caller's array is never written.
+    coefficients is the stack's (phase, schedule) from _coefficients.  Adjacent
+    half kicks commute, so each pair is applied as one multiplier: two FFTs per
+    step for the whole stack, with the full state formed only at the segment
+    end.  Each pointwise operation is one pass over the stack.  The march copies
+    values once and transforms that copy in place, so the caller's array is
+    never written.
     """
     values = np.array(values, dtype=np.complex128)
     if not dts:
@@ -157,13 +148,9 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients, scheme: str):
     for dt in dts:
         times.append(times[-1] + dt)
     kappa, nl, harm = schedule(times[:-1], dts)
-    dt_column = np.array(dts)[:, None]
-    if scheme == "strang":
-        half = 0.5 * kappa * dt_column
-        weights, pending = half.copy(), half[-1]
-        weights[1:] += half[:-1]
-    else:
-        weights, pending = kappa * dt_column, None
+    half = 0.5 * kappa * np.array(dts)[:, None]
+    weights = half.copy()
+    weights[1:] += half[:-1]
     # fixed dt repeats a few weights; lens weights never repeat, so keep few
     multiplier = functools.lru_cache(maxsize=4)(grid.kinetic_multiplier)
 
@@ -188,8 +175,7 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients, scheme: str):
         values *= rotation(theta, spin)
         if not np.isfinite(values.sum()):
             raise BlowUpError("NaN/Inf after step", time=times[k + 1])
-    if pending is not None:
-        kick(pending)
+    kick(half[-1])
     return values, times[-1]
 
 
@@ -198,21 +184,21 @@ def step(field: WaveField, plan: StepPlan) -> WaveField:
     sigma; lens coefficients are frozen at the model's own envelope at the
     step midpoint."""
     values, t = _march(field.values[None], field.grid, field.time, [plan.dt],
-                       _coefficients(field.model, (field.sigma,), field.grid), plan.scheme)
+                       _coefficients(field.model, (field.sigma,), field.grid))
     return field.with_values(values[0], time=t)
 
 
 def free_flow(field: WaveField, dt: float) -> WaveField:
     """Exact free Schrodinger flow e^{i (dt/2) Lap} over dt (linear substep alone)."""
     g = field.grid
-    out = g.ifft(g.fft(field.values) * np.exp(-0.5j * dt * g.k_sq))
+    out = g.ifft(g.fft(field.values) * g.kinetic_multiplier((dt,))[0])
     return field.with_values(out, time=field.time + dt)
 
 
-def conservation_row(field: WaveField, envelope: EnvelopeState | None = None) -> dict:
+def conservation_row(field: WaveField) -> dict:
     """Observer row: the standard conserved/monitored quantities."""
     grad_sq = gradient_norm_sq(field)
-    row = {
+    return {
         "t": field.time,
         "mass": mass(field),
         "energy": energy_from_gradient(field, grad_sq),
@@ -220,9 +206,6 @@ def conservation_row(field: WaveField, envelope: EnvelopeState | None = None) ->
         "lp_norm": lp_norm(field, 2.0 * field.sigma + 2.0),
         "edge_density": edge_density(field),
     }
-    if envelope is not None:
-        row["tau"] = envelope.tau
-    return row
 
 
 def evolve(fields, plan: StepPlan, times):
@@ -239,8 +222,7 @@ def evolve(fields, plan: StepPlan, times):
     BlowUpError if its field's mass has drifted by more than MASS_DRIFT_TRIP
     of its own starting value.  Lens models step on _lens_schedule_dt from
     plan.dt and read their envelope at each step's midpoint; the other models
-    step at plan.dt.  The fields march as stacked rows, at most BATCH_POINTS
-    grid points (and at least one row) per stack.
+    step at plan.dt.  All the fields march as one stack of rows.
     """
     single = isinstance(fields, WaveField)
     fields = (fields,) if single else tuple(fields)
@@ -255,31 +237,24 @@ def evolve(fields, plan: StepPlan, times):
     if not targets or not all(a < b < math.inf for a, b in zip([first.time, *targets], targets)):
         raise GridError(f"need finite times sorted and after the field time {first.time}, "
                         f"got {targets}")
-    env_ats = [_envelope(f.model, f.sigma, grid.dim)[1] for f in fields]
     mass0 = [mass(f) for f in fields]
     states, logs = tuple([] for _ in fields), tuple([] for _ in fields)
 
     def observe(current):
-        for f, env_at, log, m0 in zip(current, env_ats, logs, mass0):
-            log.append(conservation_row(f, env_at(f.time) if env_at else None))
+        for f, log, m0 in zip(current, logs, mass0):
+            log.append(conservation_row(f))
             if abs(log[-1]["mass"] - m0) > MASS_DRIFT_TRIP * m0:
                 raise BlowUpError(f"mass drift tripwire at t = {f.time:.6g}", time=f.time)
 
-    dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if env_ats[0] else (lambda t: plan.dt)
-    per_stack = max(1, BATCH_POINTS // math.prod(grid.shape))
-    chunks = [slice(lo, lo + per_stack) for lo in range(0, len(fields), per_stack)]
-    coefficients = [_coefficients(first.model, [f.sigma for f in fields[rows]], grid)
-                    for rows in chunks]
+    lens = _envelope(first.model, first.sigma, grid.dim) is not None
+    dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if lens else (lambda t: plan.dt)
+    coefficients = _coefficients(first.model, [f.sigma for f in fields], grid)
     observe(fields)
     values, t = np.stack([f.values for f in fields]), first.time
     for target in targets:
         dts = list(_step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target))))
-        marched = []
-        for rows, stack in zip(chunks, coefficients):
-            marched_rows, t_next = _march(values[rows], grid, t, dts, stack, plan.scheme)
-            marched.append(marched_rows)
         # the fields returned so far view the old stack, which _march only reads
-        values, t = np.concatenate(marched), t_next
+        values, t = _march(values, grid, t, dts, coefficients)
         current = tuple(f.with_values(v, time=t) for f, v in zip(fields, values))
         observe(current)
         for state, f in zip(states, current):

@@ -44,7 +44,6 @@ def frozen_lens_step():
             return np.ones((1, 1)), np.ones((1,) + sigma.shape), np.full((1,) + sigma.shape, 0.25)
 
         coefficients = nonlinear_phase(Model.RESCALED_LENS, sigma), schedule
-        values, t = _march(field.values[None], field.grid, field.time, [dt], coefficients,
-                           "strang")
+        values, t = _march(field.values[None], field.grid, field.time, [dt], coefficients)
         return field.with_values(values[0], time=t)
     return step

@@ -1,5 +1,6 @@
 """Experiment harness: configs, artifacts, determinism, verification, CLI."""
 import json
+import math
 import os
 
 import pytest
@@ -281,9 +282,18 @@ def _config_text(change):
     _config_text(lambda d: d.update(half_length="abc")),
     _config_text(lambda d: d.update(t0="abc")),
     _config_text(lambda d: d.update(width=None)),
+    _config_text(lambda d: d.update(name="ode-suite", sigmas=[math.inf])),
+    _config_text(lambda d: d.update(sigmas=[0.8, math.inf])),
+    _config_text(lambda d: d.update(sigmas=[0.8, "0.81"])),
+    _config_text(lambda d: d.update(sigmas=[0.8, True, 0.9])),
+    _config_text(lambda d: d.update(sigmas=[0.8])),
+    _config_text(lambda d: d.update(name="global-interaction-picture", sigmas=[1.5])),
+    _config_text(lambda d: d.update(sigmas=[0.8, 0.81])),
+    _config_text(lambda d: d.update(name="uniform-w1", sigmas=[0.8])),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
-        "null-width"])
+        "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
+        "one-sigma-local", "one-sigma-global", "one-gap-local", "one-sigma-uniform-w1"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -350,6 +360,17 @@ def test_cli_sweep_non_numeric_values_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "invalid float value: 'abc'" in err
     assert not os.listdir(tmp_path)
+
+
+def test_cli_sweep_one_sigma_exits_2(tmp_path, capsys):
+    # a sigma sweep gives each run one sigma, and local-continuity needs two gaps
+    code = cli_main(["sweep", "local-continuity", "--axis", "sigma", "--values", "0.8",
+                     "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR: invalid config: local-continuity needs at least two")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert "PASS" not in captured.out and not os.listdir(tmp_path)
 
 
 def test_cli_sweep_non_integer_n_exits_2(tmp_path, capsys):

@@ -102,8 +102,6 @@ def test_step_model_tag_enforcement(grid1d):
 def test_plan_validation():
     with pytest.raises(GridError):
         StepPlan(0.0)
-    with pytest.raises(GridError):
-        StepPlan(1e-3, scheme="verlet")
 
 
 # ------------------------------------------------------------- convergence
@@ -119,14 +117,6 @@ def test_strang_second_order_direct(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0, model=Model.DIRECT)
     ratios = _richardson_ratio(phi, [2e-3, 1e-3], 0.5)
     assert all(3.5 <= r <= 4.5 for r in ratios)
-
-
-def test_lie_first_order_direct(grid1d):
-    phi = gaussian_state(grid1d, 1.0, sigma=1.0, model=Model.DIRECT)
-    [ref], _ = evolve(phi, StepPlan(1.25e-4), [0.5])
-    errs = [l2_distance(evolve(phi, StepPlan(dt, scheme="lie"), [0.5])[0][-1], ref)
-            for dt in (2e-3, 1e-3)]
-    assert 1.7 <= errs[0] / errs[1] <= 2.4
 
 
 # ------------------------------------------------------------- gauge bridge
@@ -271,9 +261,11 @@ def test_evolve_row_cadence(grid1d):
 _MODELS = ((Model.DIRECT, 1.0), (Model.RESCALED, 0.5), (Model.LOG, 0.0),
            (Model.RESCALED_LENS, 0.3), (Model.DIRECT_LENS, 0.8))
 _LENS = (Model.RESCALED_LENS, Model.DIRECT_LENS)
+# every march is Strang; the ids keep the scheme's name
+_STRANG_IDS = [f"{m.value}-strang" for m, _ in _MODELS]
 
 
-def _chained_steps(phi, dt_of, targets, tol, scheme="strang"):
+def _chained_steps(phi, dt_of, targets, tol):
     """Reference: one public `step` call per step through the targets.
 
     Returns the state at each target and every state keyed by its time.
@@ -281,7 +273,7 @@ def _chained_steps(phi, dt_of, targets, tol, scheme="strang"):
     cur, at_targets, states = phi, [], {}
     for target in targets:
         while cur.time < target - tol:
-            cur = step(cur, StepPlan(min(dt_of(cur.time), target - cur.time), scheme=scheme))
+            cur = step(cur, StepPlan(min(dt_of(cur.time), target - cur.time)))
             states[cur.time] = cur
         at_targets.append(cur)
     return at_targets, states
@@ -292,17 +284,16 @@ def _rel_l2(a, b):
 
 
 @pytest.mark.parametrize("checkpoints", [(), (3e-3, 6e-3, 9e-3)], ids=["trimmed", "observed"])
-@pytest.mark.parametrize("scheme", ["strang", "lie"])
-@pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
-def test_evolve_matches_chained_steps(grid1d, model, sigma, scheme, checkpoints):
+@pytest.mark.parametrize("model,sigma", _MODELS, ids=_STRANG_IDS)
+def test_evolve_matches_chained_steps(grid1d, model, sigma, checkpoints):
     # merged Strang half kicks are exact: the fused march equals one
     # step call per step up to roundoff, at a trimmed final step and at
     # every checkpoint
     t_end = 0.0105
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    seen, rows = evolve(phi, StepPlan(1e-3, scheme=scheme), [*checkpoints, t_end])
+    seen, rows = evolve(phi, StepPlan(1e-3), [*checkpoints, t_end])
     (*_, ref), states = _chained_steps(phi, lambda t: 1e-3, [*checkpoints, t_end],
-                                       1e-12 * max(1.0, t_end), scheme)
+                                       1e-12 * max(1.0, t_end))
     out = seen[-1]
     assert out.time == ref.time and _rel_l2(out, ref) <= 1e-12
     assert len(rows) == (5 if checkpoints else 2)   # start, 3 checkpoints, t_end
@@ -368,7 +359,7 @@ def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
     monkeypatch.setattr(grid_module, "power_ratio", lambda rho, s: real(rho, s) + 1e-3j)
     row, seen = propagators.conservation_row, []
     monkeypatch.setattr(propagators, "conservation_row",
-                        lambda f, env: seen.append(f.time) or row(f, env))
+                        lambda f: seen.append(f.time) or row(f))
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     with pytest.raises(BlowUpError) as err:
         evolve(phi, StepPlan(1e-3), (5e-3, 1e-2, 0.02))
@@ -417,7 +408,7 @@ def test_march_never_writes_its_input(grid1d, model, sigma):
     stack = np.stack([phi.values, 0.5 * phi.values])
     before = stack.copy()
     coefficients = propagators._coefficients(model, (sigma, sigma), grid1d)
-    marched, _ = propagators._march(stack, grid1d, 0.0, [1e-2] * 3, coefficients, "strang")
+    marched, _ = propagators._march(stack, grid1d, 0.0, [1e-2] * 3, coefficients)
     assert not np.shares_memory(marched, stack)
     assert np.array_equal(stack, before)
     values = phi.values.copy()
@@ -450,22 +441,20 @@ def _assert_batch_equals_single_runs(fields, plan, times):
         assert log == single_log
 
 
-@pytest.mark.parametrize("scheme", ["strang", "lie"])
-@pytest.mark.parametrize("model", list(_BATCH_SIGMAS), ids=[m.value for m in _BATCH_SIGMAS])
-def test_batched_evolve_equals_per_field_evolve(grid1d, model, scheme):
+@pytest.mark.parametrize("model", list(_BATCH_SIGMAS),
+                         ids=[f"{m.value}-strang" for m in _BATCH_SIGMAS])
+def test_batched_evolve_equals_per_field_evolve(grid1d, model):
     # one stacked march over three sigmas is the three single marches, bit for bit
     fields = _batch(grid1d, model, _BATCH_SIGMAS[model])
-    _assert_batch_equals_single_runs(fields, StepPlan(1e-3, scheme=scheme),
-                                     (3e-3, 6e-3, 9e-3, 0.0105))
+    _assert_batch_equals_single_runs(fields, StepPlan(1e-3), (3e-3, 6e-3, 9e-3, 0.0105))
 
 
-def test_batched_evolve_splits_at_batch_points():
-    # 3 rows of 4096 points exceed BATCH_POINTS, so they march as a stack of
-    # two and a stack of one; the result is still bitwise the single marches
-    grid = make_grid(1, 4096, 40.0)
-    assert 3 * 4096 > propagators.BATCH_POINTS
-    fields = _batch(grid, Model.DIRECT, (1.0, 0.8, 1.2))
-    _assert_batch_equals_single_runs(fields, StepPlan(1e-3), (2e-3, 5e-3))
+def test_batched_evolve_one_stack_at_8192_points():
+    # criterion 7's shape: four direct rows of 8192 points march as one stack,
+    # still bitwise the single marches
+    grid = make_grid(1, 8192, 960.0)
+    fields = _batch(grid, Model.DIRECT, (1.5, 1.52, 1.54, 1.58))
+    _assert_batch_equals_single_runs(fields, StepPlan(1e-2), (2e-2, 5e-2))
 
 
 def test_batched_evolve_rejects_mismatched_fields(grid1d):
