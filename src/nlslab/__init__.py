@@ -6,10 +6,8 @@ config-driven experiment harness.
 
 __version__ = "0.1.0"  # set first: experiments records it in every run
 
-from .envelope import (EnvelopeState, RadialState, TauEnvelope, chevron_state,
-                       first_integral_residual, integrate_r, integrate_tau,
-                       tau_difference_bound, tau_from_r, time_change_s,
-                       time_change_s_limit)
+from .envelope import (EnvelopeState, RadialState, TauEnvelope, first_integral_residual,
+                       integrate_r, integrate_tau, tau_difference_bound, time_change_s)
 from .errors import (BlowUpError, EnvelopeError, GridError, NlsLabError,
                      NormalizationError, ResolutionError, ScatteringError,
                      VerificationError)
@@ -18,12 +16,10 @@ from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, RunRecord,
 from .grid import (Density, Grid, Model, WaveField, edge_density, energy,
                    gaussian_state, gradient_norm_sq, l2_distance, lp_norm,
                    make_grid, mass, position_norm_sq, power_ratio)
-from .metrics import gaussian_gamma, sobolev_norm, w1_1d, w1_1d_dilated, w2_1d
+from .metrics import gaussian_gamma, sobolev_norm, w1_1d, w2_1d
 from .propagators import StepPlan, conservation_row, evolve, free_flow, step
-from .rescaling import (PROFILE_DILATION, HydroFields, PseudoEnergy,
-                        cazenave_haraux_gap, continuity_residual, density_from_field,
-                        direct_gradient_norm_sq, dispersive_bound_check, hydro,
-                        log_limit_source, pseudo_energy)
+from .rescaling import (PROFILE_DILATION, PseudoEnergy, cazenave_haraux_gap,
+                        density_from_field, direct_gradient_norm_sq, pseudo_energy)
 from .scattering import (AsymptoticState, extract_asymptotic, free_conjugate,
                          interaction_picture_continuity, scattering_map,
                          sigma_norm, strauss_exponent)

@@ -175,14 +175,9 @@ class TauEnvelope:
         return 1.0 + self._table.at_times(times)
 
 
-def chevron_state(t: float, sigma: float, dim: int) -> EnvelopeState:
-    """The closed-form envelope <t> = sqrt(1 + t^2) used by the direct-lens model."""
-    tau = math.sqrt(1.0 + t * t)
-    return EnvelopeState(t=t, tau=tau, tau_dot=t / tau, sigma=sigma, dim=dim)
-
-
 def chevron_taus(times: np.ndarray) -> np.ndarray:
-    """<t> = sqrt(1 + t^2) at each of the times, each bitwise chevron_state's tau."""
+    """<t> = sqrt(1 + t^2) at each of the times: the closed-form envelope of the
+    direct-lens model."""
     import numpy as np  # on use, as in _Table.at_times
     return np.sqrt(1.0 + times * times)
 
@@ -209,21 +204,6 @@ def integrate_r(alpha: float, t_grid) -> list[RadialState]:
             for t, st in zip(grid, (env.state(root * t) for t in grid))]
 
 
-def tau_from_r(r_state: RadialState, sigma: float, dim: int = 1) -> EnvelopeState:
-    """Exact reparametrization tau_sigma(t) = r_alpha(t / sqrt(alpha)), alpha = d sigma.
-
-    (For d = 1 this is the same as evaluating r at t / sqrt(sigma).)
-    """
-    if not sigma > 0:
-        raise EnvelopeError("tau_from_r needs sigma > 0")
-    alpha = r_state.alpha
-    if abs(alpha - dim * sigma) > 1e-12:
-        raise EnvelopeError(f"alpha {alpha} does not match d*sigma {dim * sigma}")
-    root = math.sqrt(alpha)
-    return EnvelopeState(t=r_state.t * root, tau=r_state.r,
-                         tau_dot=r_state.r_dot / root, sigma=sigma, dim=dim)
-
-
 def time_change_s(state: EnvelopeState) -> float:
     """Compactified time s_sigma(t) from the closed form via the first integral."""
     a = state.alpha
@@ -232,12 +212,6 @@ def time_change_s(state: EnvelopeState) -> float:
     if state.t <= 0 or state.tau <= 1.0:
         raise EnvelopeError("s_sigma(t) is defined for t > 0 only")
     return math.log((1.0 - state.tau ** (-a)) / a) / (4.0 * (1.0 - a))
-
-
-def time_change_s_limit(sigma: float, dim: int) -> float:
-    """Limit of s_sigma(t) as t -> infinity."""
-    a = dim * sigma
-    return math.log(1.0 / a) / (4.0 * (1.0 - a))
 
 
 def tau_difference_bound(sigma: float, dim: int, t_max: float) -> dict:

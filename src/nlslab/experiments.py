@@ -26,7 +26,7 @@ from .envelope import (TauEnvelope, first_integral_residual, integrate_r, integr
                        tau_difference_bound, time_change_s)
 from .errors import GridError, NlsLabError, VerificationError
 from .grid import Model, gaussian_state, l2_distance, make_grid
-from .metrics import gaussian_gamma, w1_1d, w1_1d_dilated
+from .metrics import gaussian_gamma, w1_1d
 from .propagators import StepPlan, evolve
 from .rescaling import (PROFILE_DILATION, density_from_field,
                         direct_gradient_norm_sq, pseudo_energy)
@@ -65,10 +65,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                     or not math.isfinite(value):
                 raise GridError(f"invalid config: {key} must be a finite real, got {value!r}")
-        if self.n_times < 1:
-            raise GridError(f"invalid config: n_times must be >= 1, got {self.n_times}")
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        _validate_sigma_window(self.name, self.sigmas, self.dim)
+        _validate_experiment(self)
 
     def times(self) -> list[float]:
         """Dyadic checkpoint schedule t0 * 2^j."""
@@ -94,7 +92,19 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-def _validate_sigma_window(name: str, sigmas, dim: int) -> None:
+# verdicts that compare checkpoints need two values to compare: sobolev-growth reads
+# the checkpoints from the middle one on, ode-suite doubles t from times[n_times // 2]
+_MIN_TIMES = {"global-interaction-picture": 2, "uniform-w1": 2, "log-limit-local": 2,
+              "log-limit-global": 2, "gaussian-profile": 2, "sobolev-growth": 3,
+              "ode-suite": 3}
+
+
+def _validate_experiment(cfg: ExperimentConfig) -> None:
+    """What each experiment's runner and verdicts need of the sigmas and times."""
+    name, sigmas, dim = cfg.name, cfg.sigmas, cfg.dim
+    least = _MIN_TIMES.get(name, 1)
+    if cfg.n_times < least:
+        raise GridError(f"invalid config: {name} needs n_times >= {least}, got {cfg.n_times}")
     # these fit or group their runs by the gap to sigmas[0], as uniform-w1 groups them
     gaps = {round(abs(nu - sigmas[0]), 12) for nu in sigmas[1:]}
     if name in ("local-continuity", "global-interaction-picture", "uniform-w1") \
@@ -111,9 +121,14 @@ def _validate_sigma_window(name: str, sigmas, dim: int) -> None:
     elif name in ("gaussian-profile", "sobolev-growth"):
         if any(s != 0.0 for s in sigmas):
             raise GridError(f"invalid config: {name} studies the sigma = 0 flow only")
+        if not cfg.t0 > 1.0:
+            raise GridError(f"invalid config: {name} divides by ln t, so it needs t0 > 1")
     elif name == "ode-suite":
         if not all(0.0 <= s for s in sigmas):
             raise GridError("invalid config: ode-suite needs sigma >= 0")
+        if not cfg.times()[-1] > 1.0:
+            raise GridError("invalid config: ode-suite divides by sqrt(ln t) at its last "
+                            "checkpoint, so it needs t0 * 2^(n_times - 1) > 1")
     # scattering-continuity deliberately mixes short- and long-range sigmas
 
 
@@ -356,8 +371,7 @@ def _run_global_interaction(cfg: ExperimentConfig):
     for r in report["rows"]:
         sups = [d["sigma_norm"] for d in r["diffs"]]
         # saturation: doubling the dyadic time range barely moves the sup
-        sup_half = max(sups[: max(1, len(sups) - 1)])
-        sup_full = max(sups)
+        sup_half, sup_full = max(sups[:-1]), max(sups)
         sat_rows.append((r["nu"], sup_half, sup_full,
                          abs(sup_full - sup_half) / max(sup_full, 1e-300)))
     return {
@@ -578,9 +592,9 @@ def _run_gaussian_profile(cfg: ExperimentConfig):
     rows = []
     run, _ = evolve(phi, StepPlan(cfg.dt), times)
     for f, t in zip(run, times):
-        w = w1_1d_dilated(density_from_field(f), gamma, PROFILE_DILATION)
+        w = w1_1d(density_from_field(f), gamma, dilation=PROFILE_DILATION)
         rows.append((t, envelope.state(f.time).tau, w,
-                     w * math.sqrt(math.log(max(t, 1.0 + 1e-9)))))
+                     w * math.sqrt(math.log(t))))
     return {"w1_gamma.csv": (("t", "tau", "w1", "w1_sqrt_log_t"), rows)}
 
 
@@ -589,9 +603,9 @@ def _analyze_gaussian_profile(cfg: ExperimentConfig, out_dir: str):
     ws = [r[2] for r in rows]
     decreasing = all(b < a for a, b in zip(ws, ws[1:]))
     ts = [r[0] for r in rows]
-    a_fit = float(np.mean([w * math.sqrt(math.log(t)) for t, w in zip(ts, ws) if t > 1]))
+    a_fit = float(np.mean([w * math.sqrt(math.log(t)) for t, w in zip(ts, ws)]))
     resid = max(abs(w - a_fit / math.sqrt(math.log(t))) / max(w, 1e-300)
-                for t, w in zip(ts, ws) if t > 1)
+                for t, w in zip(ts, ws))
     return [
         _verdict("gaussian-profile/w1-decreasing", decreasing,
                  f"W1(rho_0, Gamma) trace {['%.3e' % w for w in ws]}"),
@@ -611,7 +625,7 @@ def _run_sobolev_growth(cfg: ExperimentConfig):
         env = envelope.state(f.time)
         # direct-variable gradient norm, evaluated without leaving lens variables
         h1_sq = direct_gradient_norm_sq(f, env)
-        rows.append((t, env.tau, h1_sq, h1_sq / math.log(max(t, 1.0 + 1e-9))))
+        rows.append((t, env.tau, h1_sq, h1_sq / math.log(t)))
     return {"h1_growth.csv": (("t", "tau", "h1_sq", "h1_sq_over_log_t"), rows)}
 
 

@@ -37,14 +37,6 @@ class QuantileRep:
         edges = f.grid.x[0] - 0.5 * h + h * np.arange(f.grid.n + 1)
         return cls(*_compact(probs, edges))
 
-    @classmethod
-    def from_masses(cls, edges: np.ndarray, masses: np.ndarray) -> "QuantileRep":
-        probs = np.concatenate(([0.0], np.cumsum(masses)))
-        total = probs[-1]
-        if total <= 0:
-            raise NormalizationError("empty mass vector")
-        return cls(*_compact(probs / total, np.asarray(edges, dtype=float)))
-
 
 def _compact(probs: np.ndarray, values: np.ndarray, eps: float = 1e-14):
     """Drop breakpoints interior to (near-)flat CDF runs.
@@ -65,11 +57,6 @@ def _compact(probs: np.ndarray, values: np.ndarray, eps: float = 1e-14):
     for i in small:
         p[i] = p[i + 1]
     return p, v
-
-
-def _require_density(f: Density) -> None:
-    if abs(f.integral() - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError(f"input integrates to {f.integral()}, not 1")
 
 
 def _wp_pair(qf: QuantileRep, qg: QuantileRep):
@@ -102,41 +89,33 @@ def _wp_pair(qf: QuantileRep, qg: QuantileRep):
     return w1, math.sqrt(max(w2_sq, 0.0))
 
 
-def w1_1d(f: Density, g: Density) -> float:
-    """Exact 1D Kantorovich-Rubinstein distance via quantile functions."""
+def _quantiles(f: Density, g: Density) -> tuple[QuantileRep, QuantileRep]:
+    """Quantile functions of two normalized one-dimensional densities."""
     for d in (f, g):
         if d.grid.dim != 1:
-            raise GridError("w1_1d needs one-dimensional densities")
-        _require_density(d)
-    w1, _ = _wp_pair(QuantileRep.from_density(f), QuantileRep.from_density(g))
-    return w1
+            raise GridError("Wasserstein distances need one-dimensional densities")
+        if abs(d.integral() - 1.0) > NORMALIZATION_TOL:
+            raise NormalizationError(f"input integrates to {d.integral()}, not 1")
+    return QuantileRep.from_density(f), QuantileRep.from_density(g)
 
 
-def w1_1d_dilated(f: Density, g: Density, dilation: float = 1.0) -> float:
-    """Exact W1 between the mass-preserving dilation c^d f(c y) of f, and g.
+def w1_1d(f: Density, g: Density, dilation: float = 1.0) -> float:
+    """Exact 1D Kantorovich-Rubinstein distance via quantile functions, between
+    the mass-preserving dilation c^d f(c y) of f (c = dilation) and g.
 
     The dilated measure's quantile function is Q_f / c, so no resampling
-    (and no wrap-around) is involved.
+    (and no wrap-around) is involved; at c = 1 the division is exact.
     """
     if not dilation > 0:
         raise GridError(f"dilation must be positive, got {dilation}")
-    for d in (f, g):
-        if d.grid.dim != 1:
-            raise GridError("w1_1d_dilated needs one-dimensional densities")
-        _require_density(d)
-    qf = QuantileRep.from_density(f)
-    qf = QuantileRep(qf.probabilities, qf.values / dilation)
-    w1, _ = _wp_pair(qf, QuantileRep.from_density(g))
+    qf, qg = _quantiles(f, g)
+    w1, _ = _wp_pair(QuantileRep(qf.probabilities, qf.values / dilation), qg)
     return w1
 
 
 def w2_1d(f: Density, g: Density) -> float:
     """Exact 1D quadratic Wasserstein distance; checks W1 <= W2 on every call."""
-    for d in (f, g):
-        if d.grid.dim != 1:
-            raise GridError("w2_1d needs one-dimensional densities")
-        _require_density(d)
-    w1, w2 = _wp_pair(QuantileRep.from_density(f), QuantileRep.from_density(g))
+    w1, w2 = _wp_pair(*_quantiles(f, g))
     if w1 > w2 + 1e-12:
         raise AssertionError(f"W1 = {w1} exceeds W2 = {w2}")
     return w2

@@ -1,4 +1,4 @@
-"""Lens-variable densities, Madelung fields, pseudo-energy and diagnostics.
+"""Lens-variable densities, pseudo-energy and diagnostics.
 
 The lens transform
 
@@ -10,14 +10,13 @@ periodic box.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import EnvelopeState
 from .errors import NormalizationError
-from .grid import Density, Grid, WaveField, mass, power_ratio
+from .grid import Density, WaveField, mass, power_ratio
 
 # The universal-profile statement Gamma = exp(-|y|^2)/pi^{d/2} is normalized
 # for the envelope satisfying tau tau'' = 2.  The envelope family used here
@@ -49,16 +48,6 @@ class PseudoEnergy:
         return self.kinetic + self.confinement + self.nonlinear_plus + self.nonlinear_minus
 
 
-@dataclass(frozen=True)
-class HydroFields:
-    """Madelung variables: normalized density and mass-normalized current."""
-
-    rho: Density
-    current: tuple
-    grid: Grid
-    time: float
-
-
 def density_from_field(v: WaveField) -> Density:
     """Normalized |v|^2; for lens-variable trajectories this is the rescaled density."""
     if mass(v) <= 0:
@@ -86,36 +75,6 @@ def pseudo_energy(v: WaveField, env: EnvelopeState) -> PseudoEnergy:
     minus = -coeff * float(g.integrate(np.where(rho < 1.0, integrand, 0.0)).real)
     return PseudoEnergy(kinetic=kinetic, confinement=confinement,
                         nonlinear_plus=max(plus, 0.0), nonlinear_minus=max(minus, 0.0))
-
-
-def hydro(v: WaveField) -> HydroFields:
-    """Madelung variables rho = |v|^2/||v||^2 and J = Im(conj(v) grad v)/||v||^2."""
-    g = v.grid
-    m = mass(v)
-    rho = Density.normalize(g, np.abs(v.values) ** 2)
-    grads = g.gradient(v.values)
-    current = tuple(np.imag(np.conj(v.values) * dv) / m for dv in grads)
-    return HydroFields(rho=rho, current=current, grid=g, time=v.time)
-
-
-def continuity_residual(before: HydroFields, after: HydroFields, tau_mid: float) -> float:
-    """L2 residual of d_t rho + tau^{-2} div J = 0.
-
-    d_t rho by the centered difference of the two snapshots, div J from
-    the spectral divergence of the midpoint current (average of the two).
-    """
-    g = before.grid
-    dt = after.time - before.time
-    drho = (after.rho.values * after.rho.raw_integral
-            - before.rho.values * before.rho.raw_integral) / dt
-    scale = 0.5 * (after.rho.raw_integral + before.rho.raw_integral)
-    div = np.zeros(g.shape)
-    for axis in range(g.dim):
-        jmid = 0.5 * scale * (before.current[axis] + after.current[axis])
-        k = g.k if g.dim == 1 else np.meshgrid(g.k, g.k, indexing="ij", sparse=True)[axis]
-        div = div + np.real(g.ifft(1j * k * g.fft(jmid)))
-    res = drho + div / tau_mid**2
-    return float(np.sqrt(g.integrate(res**2).real))
 
 
 def cazenave_haraux_gap(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
@@ -153,41 +112,3 @@ def direct_gradient_norm_sq(v: WaveField, env: EnvelopeState) -> float:
     cross = sum(float(g.integrate(mesh * np.imag(np.conj(v.values) * dv)).real)
                 for mesh, dv in zip(g.coords, grads))
     return gsq / tau**2 + taud**2 * ysq + 2.0 * (taud / tau) * cross
-
-
-def log_limit_source(z: np.ndarray, sigma: float) -> np.ndarray:
-    """(|z|^{2 sigma} - 1) z / sigma - z ln|z|^2, the rescaled-vs-log defect."""
-    rho = np.abs(z) ** 2
-    return (power_ratio(rho, sigma) - power_ratio(rho, 0.0)) * z
-
-
-def dispersive_bound_check(times, fields, sigma: float) -> dict:
-    """Check ||grad v(t)|| <~ <t>^{max(0, 1 - d sigma / 2)} on a stored trajectory.
-
-    Reports the weighted sup over the whole range and over its first
-    half (stability under t-range doubling), plus the dyadic partial
-    sums of <t>^{-2} ||J||_{L1} whose convergence reflects the
-    time-integrability of the current.
-    """
-    rows = []
-    for t, v in zip(times, fields):
-        g = v.grid
-        expo = max(0.0, 1.0 - g.dim * sigma / 2.0)
-        grads = g.gradient(v.values)
-        gnorm = math.sqrt(sum(float(g.integrate(np.abs(c) ** 2).real) for c in grads))
-        jl1 = float(g.integrate(np.sqrt(sum(
-            np.imag(np.conj(v.values) * dv) ** 2 for dv in grads))).real)
-        w = math.sqrt(1.0 + t * t)
-        rows.append({"t": t, "grad_norm": gnorm, "weighted": gnorm / w**expo,
-                     "current_term": jl1 / w**2})
-    weighted = [r["weighted"] for r in rows]
-    half = weighted[: max(1, len(weighted) // 2)]
-    partial = np.cumsum([r["current_term"] for r in rows])
-    return {
-        "sigma": sigma,
-        "exponent": max(0.0, 1.0 - fields[0].grid.dim * sigma / 2.0),
-        "sup_weighted": max(weighted),
-        "sup_weighted_first_half": max(half),
-        "current_partial_sums": partial.tolist(),
-        "rows": rows,
-    }

@@ -18,8 +18,7 @@ from nlslab import (Density, Model, PROFILE_DILATION, StepPlan,
                     first_integral_residual, gaussian_gamma, gaussian_state,
                     integrate_r, integrate_tau, interaction_picture_continuity,
                     l2_distance, make_grid, mass, pseudo_energy, scattering_map,
-                    sobolev_norm, step, tau_difference_bound, w1_1d,
-                    w1_1d_dilated, w2_1d)
+                    sobolev_norm, step, tau_difference_bound, w1_1d, w2_1d)
 from nlslab.propagators import _lens_schedule_dt
 
 
@@ -314,7 +313,7 @@ def test_criterion_11_gaussian_profile(acceptance_log):
     snap = [(f, envelope.state(f.time)) for f in fields]
     gamma = gaussian_gamma(grid)
     decades = {10.0, 1e2, 1e3, 1e4}
-    ws = [(t, w1_1d_dilated(density_from_field(f), gamma, PROFILE_DILATION))
+    ws = [(t, w1_1d(density_from_field(f), gamma, dilation=PROFILE_DILATION))
           for (f, env), t in zip(snap, targets) if t in decades]
     decreasing = all(b < a for (_, a), (_, b) in zip(ws, ws[1:]))
     a_fit = float(np.mean([w * math.sqrt(math.log(t)) for t, w in ws]))

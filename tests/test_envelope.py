@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from nlslab import envelope
-from nlslab import (EnvelopeState, TauEnvelope, chevron_state,
-                    first_integral_residual, integrate_r, integrate_tau,
-                    tau_difference_bound, tau_from_r, time_change_s,
-                    time_change_s_limit)
+from nlslab import (EnvelopeState, TauEnvelope, first_integral_residual,
+                    integrate_r, integrate_tau, tau_difference_bound, time_change_s)
 from nlslab.errors import EnvelopeError
 
 
@@ -47,47 +45,22 @@ def test_r2_correction_term():
     assert abs((st.r - st.t) - predicted) <= 0.1 * predicted
 
 
-def test_tau_from_r_consistency():
-    # [DERIVED] cross-integrator agreement of tau_sigma(t) = r_a(t/sqrt(a))
-    for sigma in (0.05, 0.1, 0.5):
-        alpha = sigma  # d = 1
-        ts = [0.5, 1.0, 2.0, 5.0]
-        r_states = integrate_r(alpha, [t / math.sqrt(alpha) for t in ts])
-        tau_states = integrate_tau(sigma, 1, ts)
-        for rs, taus in zip(r_states, tau_states):
-            mapped = tau_from_r(rs, sigma, dim=1)
-            assert abs(mapped.t - taus.t) <= 1e-9
-            assert abs(mapped.tau - taus.tau) <= 1e-9
-            assert abs(mapped.tau_dot - taus.tau_dot) <= 1e-9
-
-
-def test_tau_from_r_validation():
-    rs = integrate_r(0.2, [1.0])[0]
-    with pytest.raises(EnvelopeError):
-        tau_from_r(rs, 0.5, dim=1)   # alpha mismatch
-    with pytest.raises(EnvelopeError):
-        tau_from_r(rs, 0.0, dim=1)
-
-
 def test_chevron_state_closed_form():
-    st = chevron_state(3.0, 1.0, 1)
-    assert st.tau == pytest.approx(math.sqrt(10.0), abs=1e-14)
-    assert st.tau_dot == pytest.approx(3.0 / math.sqrt(10.0), abs=1e-14)
+    # the direct-lens envelope <t> is r_2, the radial family's alpha = 2 member
+    times = np.array([0.0, 0.5, 3.0, 10.0])
+    taus = envelope.chevron_taus(times)
+    assert taus[2] == pytest.approx(math.sqrt(10.0), abs=1e-14)
+    assert np.abs(taus - [st.r for st in integrate_r(2.0, times)]).max() <= 1e-10
 
 
 # ------------------------------------------------------------- time change
 
-def test_time_change_limit_formula():
-    # [PAPER] s_sigma(infinity) = ln(1/(d sigma)) / (4 (1 - d sigma))
-    assert time_change_s_limit(0.1, 1) == pytest.approx(
-        math.log(10.0) / (4.0 * 0.9), abs=1e-14)
-
-
 def test_time_change_approaches_limit():
     # the limit is reached only as tau^{-a} -> 0, which is logarithmically
     # slow; assert monotone approach from below instead of a tight window
+    # [PAPER] s_sigma(infinity) = ln(1/(d sigma)) / (4 (1 - d sigma))
     states = integrate_tau(0.1, 1, [1e1, 1e3, 1e5])
-    limit = time_change_s_limit(0.1, 1)
+    limit = math.log(1.0 / 0.1) / (4.0 * (1.0 - 0.1))
     gaps = [limit - time_change_s(st) for st in states]
     assert all(g > 0 for g in gaps)
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -193,7 +166,7 @@ def test_vectorised_reads_equal_scalar_reads():
                 assert reach <= chunk[-1] < env._table.edges[-1]
             assert np.array_equal(taus, [env.state(t).tau for t in chunk])
     assert np.array_equal(envelope.chevron_taus(times),
-                          [chevron_state(t, 0.3, 1).tau for t in times])
+                          [math.sqrt(1.0 + t * t) for t in times])
     for bad in (-1e-3, math.nan, math.inf):
         with pytest.raises(EnvelopeError):
             TauEnvelope(0.1, 1).taus(np.array([1.0, bad]))

@@ -290,10 +290,16 @@ def _config_text(change):
     _config_text(lambda d: d.update(name="global-interaction-picture", sigmas=[1.5])),
     _config_text(lambda d: d.update(sigmas=[0.8, 0.81])),
     _config_text(lambda d: d.update(name="uniform-w1", sigmas=[0.8])),
+    _config_text(lambda d: d.update(name="ode-suite", sigmas=[0.1], t0=0.25, n_times=3)),
+    _config_text(lambda d: d.update(name="gaussian-profile", sigmas=[0.0], t0=0.5)),
+    _config_text(lambda d: d.update(name="uniform-w1", n_times=1)),
+    _config_text(lambda d: d.update(name="sobolev-growth", sigmas=[0.0], t0=10.0)),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
         "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
-        "one-sigma-local", "one-sigma-global", "one-gap-local", "one-sigma-uniform-w1"])
+        "one-sigma-local", "one-sigma-global", "one-gap-local", "one-sigma-uniform-w1",
+        "ode-last-time-1", "gaussian-t0-below-1", "one-time-uniform-w1",
+        "two-times-sobolev"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

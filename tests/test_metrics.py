@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from nlslab import (Density, GridError, NormalizationError, gaussian_gamma,
-                    make_grid, sobolev_norm, w1_1d, w1_1d_dilated, w2_1d)
-from nlslab.metrics import QuantileRep
+                    make_grid, sobolev_norm, w1_1d, w2_1d)
+from nlslab.metrics import QuantileRep, _compact, _wp_pair
 
 
 def _gaussian_density(grid, mean=0.0, std=1.0):
@@ -63,9 +63,8 @@ def test_w1_two_point_transport_oracle():
     # [DERIVED] two-point masses: optimal transport moves the excess mass
     # p - q from x1 to x2, plus the common mass stays put
     edges = np.array([0.0, 1e-9, 2.0, 2.0 + 1e-9])
-    qf = QuantileRep.from_masses(edges, np.array([0.7, 0.0, 0.3]))
-    qg = QuantileRep.from_masses(edges, np.array([0.4, 0.0, 0.6]))
-    from nlslab.metrics import _wp_pair
+    qf = QuantileRep(*_compact(np.array([0.0, 0.7, 0.7, 1.0]), edges))
+    qg = QuantileRep(*_compact(np.array([0.0, 0.4, 0.4, 1.0]), edges))
     w1, _ = _wp_pair(qf, qg)
     assert w1 == pytest.approx(0.3 * 2.0, abs=1e-8)
 
@@ -141,11 +140,11 @@ def test_w1_dilated_matches_manual(grid1d):
     f = _gaussian_density(grid1d, 0.0, 2.0)
     g = _gaussian_density(grid1d, 0.0, 1.0)
     undilated = w1_1d(f, g)
-    dilated = w1_1d_dilated(f, g, dilation=2.0)
+    dilated = w1_1d(f, g, dilation=2.0)
     assert dilated <= grid1d.spacing / 8.0
     assert dilated <= 0.01 * undilated
     with pytest.raises(GridError):
-        w1_1d_dilated(f, g, dilation=0.0)
+        w1_1d(f, g, dilation=0.0)
 
 
 # ------------------------------------------------------------- Sobolev
