@@ -92,11 +92,12 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-# verdicts that compare checkpoints need two values to compare: sobolev-growth reads
-# the checkpoints from the middle one on, ode-suite doubles t from times[n_times // 2]
-_MIN_TIMES = {"global-interaction-picture": 2, "uniform-w1": 2, "log-limit-local": 2,
-              "log-limit-global": 2, "gaussian-profile": 2, "sobolev-growth": 3,
-              "ode-suite": 3}
+# verdicts that compare checkpoints need two values: sobolev-growth reads the checkpoints
+# from the middle one on, ode-suite doubles t from times[n_times // 2], and
+# scattering-continuity judges convergence over four dyadic cadences
+_MIN_TIMES = {"global-interaction-picture": 2, "scattering-continuity": 4, "uniform-w1": 2,
+              "log-limit-local": 2, "log-limit-global": 2, "gaussian-profile": 2,
+              "sobolev-growth": 3, "ode-suite": 3}
 
 
 def _validate_experiment(cfg: ExperimentConfig) -> None:

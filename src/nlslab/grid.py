@@ -234,51 +234,61 @@ def l2_distance(a: WaveField, b: WaveField) -> float:
 LOG_REGULARISATION = 1e-12
 
 
-def power_ratio(rho: np.ndarray, sigma) -> np.ndarray:
+def power_ratio(rho: np.ndarray, sigma, out=None) -> np.ndarray:
     """(rho^sigma - 1) / sigma as expm1(sigma ln rho)/sigma, which keeps the digits the
     naive form cancels at small sigma; ln rho at sigma = 0; the vacuum reads as 1e-300.
-    sigma may also be an array of positive sigmas that broadcasts against rho."""
-    logr = np.log(np.maximum(rho, 1e-300))
-    return logr if np.ndim(sigma) == 0 and sigma == 0.0 else np.expm1(sigma * logr) / sigma
+    sigma may also be an array of positive sigmas that broadcasts against rho.  Each
+    pass writes into out when it is given (it may be rho itself), bitwise the same."""
+    logr = np.log(np.maximum(rho, 1e-300, out=out), out=out)
+    if np.ndim(sigma) == 0 and sigma == 0.0:
+        return logr
+    return np.divide(np.expm1(np.multiply(sigma, logr, out=out), out=out), sigma, out=out)
 
 
-def _log_phase(rho: np.ndarray) -> np.ndarray:
-    return np.log(rho + LOG_REGULARISATION)
+def _log_phase(rho: np.ndarray, out=None) -> np.ndarray:
+    return np.log(np.add(rho, LOG_REGULARISATION, out=out), out=out)
 
 
 def nonlinear_phase(model: Model, sigma):
-    """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model.
+    """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model, called
+    as phase(rho, out=None): V goes into out (which may be rho itself) or, without
+    one, into a new array, and is returned.
 
     sigma is a float, or one sigma per row of a stacked rho (rows, *shape) as an
-    array that broadcasts against it, (rows, 1, ...); each row's V is then bitwise
-    the V of its own float sigma."""
+    array that broadcasts against it, (rows, 1, ...) or (rows, *shape), constant
+    along each row; each row's V is then bitwise the V of its own float sigma.  At
+    full shape, sigma spares numpy the buffer it takes for a broadcast operand of
+    a stack of fewer than 8,192 points."""
     column = np.asarray(sigma, dtype=float)
+    per_row = column.reshape(len(column), -1)[:, 0] if column.ndim else column.ravel()
     if model is Model.DIRECT or model is Model.DIRECT_LENS:
-        if column.ndim == 0:
-            return lambda rho: rho**sigma
-        # row by row: ** with a float exponent takes numpy's square and sqrt fast
-        # paths, which an array of exponents would not
-        exponents = column.ravel().tolist()
+        # row by row: power with a float exponent takes numpy's square and sqrt
+        # fast paths, which an array of exponents would not
+        rows = [(..., sigma)] if column.ndim == 0 else list(enumerate(per_row.tolist()))
 
-        def direct(rho):
-            v = np.empty_like(rho)
-            for out, r, s in zip(v, rho, exponents):
-                out[...] = r**s
-            return v
+        def direct(rho, out=None):
+            out = np.empty_like(rho) if out is None else out
+            for row, s in rows:
+                np.power(rho[row], s, out=out[row])
+            return out
         return direct
-    zero = column == 0.0   # rescaled family degenerates to the log branch at sigma = 0
+    zero = per_row == 0.0   # rescaled family degenerates to the log branch at sigma = 0
     if model is Model.LOG or zero.all():
         return _log_phase
     if not zero.any():
-        return lambda rho: power_ratio(rho, column)
-    logs, powers = np.flatnonzero(zero), np.flatnonzero(~zero)
-    positive = column[powers]
+        return lambda rho, out=None: power_ratio(rho, column, out)
+    # runs of adjacent rows on the same branch, each a view of rho and of out
+    edges = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), zero.size]
+    runs = [(slice(a, b), None if zero[a] else column[a:b]) for a, b in zip(edges, edges[1:])]
 
-    def mixed(rho):
-        v = np.empty_like(rho)
-        v[logs] = _log_phase(rho[logs])
-        v[powers] = power_ratio(rho[powers], positive)
-        return v
+    def mixed(rho, out=None):
+        out = np.empty_like(rho) if out is None else out
+        for rows, s in runs:
+            if s is None:
+                _log_phase(rho[rows], out[rows])
+            else:
+                power_ratio(rho[rows], s, out[rows])
+        return out
     return mixed
 
 

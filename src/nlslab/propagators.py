@@ -37,7 +37,8 @@ class StepPlan:
 def _coefficients(model: Model, sigmas, grid):
     """(phase, schedule) of a stack of `model` rows, one sigma per row.
 
-    phase maps the stacked rho = |u|^2 to the stacked potential V.
+    phase(rho, out) maps the stacked rho = |u|^2 to the stacked potential V; it
+    holds sigma at full shape, which keeps numpy's broadcast buffers out of it.
     schedule(times, dts) gives, for the steps of length dts starting at times,
     (kappa, nl, harm): each row's kinetic weight as a (steps, rows) array and,
     for lens models, the weights of V and of |y|^2 in the potential
@@ -51,7 +52,8 @@ def _coefficients(model: Model, sigmas, grid):
             raise GridError(f"{model.value} model needs sigma > 0 (sigma = 0 is the log "
                             f"model), got {s}")
     column = (len(sigmas),) + (1,) * grid.dim
-    phase = nonlinear_phase(model, np.reshape(np.array(sigmas, dtype=float), column))
+    sigma_rows = np.reshape(np.array(sigmas, dtype=float), column)
+    phase = nonlinear_phase(model, np.broadcast_to(sigma_rows, column[:1] + grid.shape).copy())
     readers = [_envelope(model, s, grid.dim) for s in sigmas]
     if readers[0] is None:
         return phase, lambda times, dts: (np.ones((len(dts), len(sigmas))), None, None)
@@ -101,10 +103,11 @@ def _step_sizes(t: float, t_end: float, dt_of, tol: float):
         t += dt
 
 
-def rotation(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+def rotation(theta: np.ndarray, out: np.ndarray, scratch=(None, None)) -> np.ndarray:
     """e^{-i theta} into the complex array out, from t = tan(theta/2) alone:
     cos theta = 1 - 2 t^2/(1 + t^2) and sin theta = 2 t/(1 + t^2).  theta is
-    overwritten.
+    overwritten, and so is scratch, two real arrays of theta's shape that take
+    t^2 and 1 + t^2 (without them, or for a complex theta, these are new arrays).
 
     numpy 2.4 takes a vectorised path for float64 tan and the scalar libm for cos
     and sin (about 10 against 30-50 us for 2,560 values on a Xeon).  Written
@@ -114,8 +117,9 @@ def rotation(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     128 KiB per call; a complex theta (a gain or a loss) gives exp(-i theta) by
     the same formula in complex arithmetic."""
     t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
-    sq = t * t
-    w = sq + 1.0
+    sq, w = (None, None) if np.iscomplexobj(t) else scratch
+    sq = np.multiply(t, t, out=sq)
+    w = np.add(sq, 1.0, out=w)
     np.divide(-2.0, w, out=w)   # -2/(1 + t^2)
     t *= w                      # -sin theta
     sq *= w
@@ -154,9 +158,14 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients):
     # fixed dt repeats a few weights; lens weights never repeat, so keep few
     multiplier = functools.lru_cache(maxsize=4)(grid.kinetic_multiplier)
 
-    # buffers reused by every step; a step still allocates phase's result and
-    # rotation's temporaries, all real, and on lens runs a new multiplier table
-    rho, confinement, spin = np.empty(values.shape), np.empty(values.shape), np.empty_like(values)
+    # buffers reused by every step: rho, V and the lens confinement, which with rho
+    # is also rotation's scratch.  The lens coefficients are copied to full rows
+    # before they multiply, since numpy buffers a broadcast operand of a stack of
+    # fewer than 8,192 points.  A step allocates no array but, on lens runs, its
+    # multiplier table
+    rho, potential, confinement = np.empty((3,) + values.shape)
+    spin = np.empty_like(values)
+    radius_sq = None if nl is None else np.broadcast_to(grid.radius_sq, values.shape).copy()
 
     def kick(ws):
         grid.fft(values, out=values)
@@ -167,12 +176,15 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients):
         kick(weights[k])
         np.abs(values, out=rho)
         rho **= 2
-        theta = phase(rho)
+        theta = phase(rho, potential)
         if nl is not None:
-            theta *= nl[k]
-            theta += np.multiply(harm[k], grid.radius_sq, out=confinement)
+            np.copyto(rho, nl[k])
+            theta *= rho
+            np.copyto(confinement, harm[k])
+            confinement *= radius_sq
+            theta += confinement
         theta *= dt
-        values *= rotation(theta, spin)
+        values *= rotation(theta, spin, (rho, confinement))
         if not np.isfinite(values.sum()):
             raise BlowUpError("NaN/Inf after step", time=times[k + 1])
     kick(half[-1])

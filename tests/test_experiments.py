@@ -294,12 +294,13 @@ def _config_text(change):
     _config_text(lambda d: d.update(name="gaussian-profile", sigmas=[0.0], t0=0.5)),
     _config_text(lambda d: d.update(name="uniform-w1", n_times=1)),
     _config_text(lambda d: d.update(name="sobolev-growth", sigmas=[0.0], t0=10.0)),
+    _config_text(lambda d: d.update(name="scattering-continuity", sigmas=[1.5, 0.8])),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
         "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
         "one-sigma-local", "one-sigma-global", "one-gap-local", "one-sigma-uniform-w1",
         "ode-last-time-1", "gaussian-t0-below-1", "one-time-uniform-w1",
-        "two-times-sobolev"])
+        "two-times-sobolev", "two-times-scattering"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

@@ -205,21 +205,44 @@ _STACK_SIGMAS = {Model.DIRECT: (0.5, 1.0, 2.0, 0.7), Model.RESCALED: (0.5, 1e-9,
                  Model.DIRECT_LENS: (2.0, 0.5, 1.0)}
 
 
+def _written_out_phase(model, sigma, rho):
+    """V(rho) as its formula reads, one expression per branch."""
+    if model is Model.DIRECT or model is Model.DIRECT_LENS:
+        return rho**sigma
+    if model is Model.LOG or sigma == 0.0:
+        return np.log(rho + 1e-12)
+    return np.expm1(sigma * np.log(np.maximum(rho, 1e-300))) / sigma
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("model", list(Model), ids=[m.value for m in Model])
 def test_stacked_phase_equals_per_row_phase(model, dim):
-    # one call over a column of sigmas is each row's own scalar-sigma call, bit
-    # for bit: the sigma = 0 rows of a rescaled stack take the log branch, and
-    # the direct rows keep ** at sigma = 0.5 and 2 (numpy's sqrt and square)
+    # one call over a column of sigmas is each row's own scalar-sigma call and the
+    # written formula, bit for bit: the sigma = 0 rows of a rescaled stack (not
+    # adjacent in the lens stack) take the log branch, and the direct rows keep
+    # ** at sigma = 0.5 and 2 (numpy's sqrt and square).  phase(rho, out) writes
+    # the same V into out, a separate buffer or rho itself, with sigma as a column
+    # or at full shape (as the march passes it); each row opens with the vacuum
     sigmas = _STACK_SIGMAS[model]
     rng = np.random.default_rng(9)
     rho = rng.random((len(sigmas),) + (16,) * dim) * 3.0
     rho.reshape(len(sigmas), -1)[:, :3] = (0.0, 1e-310, 1e-20)
+    before = rho.copy()
     column = np.reshape(sigmas, (-1,) + (1,) * dim)
-    stacked = nonlinear_phase(model, column)(rho)
-    assert stacked.shape == rho.shape
-    for row, sigma, r in zip(stacked, sigmas, rho):
-        assert np.array_equal(row, nonlinear_phase(model, sigma)(r))
+    for sigma in (column, np.broadcast_to(column, rho.shape).copy()):
+        phase = nonlinear_phase(model, sigma)
+        stacked = phase(rho)
+        assert stacked.shape == rho.shape
+        out = np.full_like(rho, np.nan)
+        assert phase(rho, out) is out and np.array_equal(out, stacked)
+        assert np.array_equal(rho, before)
+        same = rho.copy()
+        assert phase(same, same) is same and np.array_equal(same, stacked)
+        for row, s, r in zip(stacked, sigmas, rho):
+            one, into = nonlinear_phase(model, s), np.full_like(r, np.nan)
+            assert np.array_equal(row, _written_out_phase(model, s, r))
+            assert np.array_equal(row, one(r))
+            assert one(r, into) is into and np.array_equal(row, into)
 
 
 @pytest.mark.parametrize("grid", [make_grid(1, 64, 7.0), make_grid(2, 32, 5.0)],

@@ -1,5 +1,6 @@
 """Split-step propagator tests against closed-form and ODE oracles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,9 +323,9 @@ def test_non_finite_mid_segment_raises_at_step_time(grid1d, monkeypatch, model):
     def poisoned(m, sigma):  # the fifth step's phase turns non-finite
         phase = real(m, sigma)
 
-        def stepped(rho):
+        def stepped(rho, out=None):
             calls.append(sigma)
-            return phase(rho) * (np.nan if len(calls) == 5 else 1.0)
+            return phase(rho, out) * (np.nan if len(calls) == 5 else 1.0)
         return stepped
 
     monkeypatch.setattr(propagators, "nonlinear_phase", poisoned)
@@ -356,7 +357,8 @@ def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
     # a slow, finite gain (|e^{-i dt (V + 1e-3 i)}|^2 = e^{2e-3 dt} per step)
     # trips the same 1e-8 rule on either path, at the first observation past it
     real = grid_module.power_ratio
-    monkeypatch.setattr(grid_module, "power_ratio", lambda rho, s: real(rho, s) + 1e-3j)
+    monkeypatch.setattr(grid_module, "power_ratio",
+                        lambda rho, s, out=None: real(rho, s) + 1e-3j)
     row, seen = propagators.conservation_row, []
     monkeypatch.setattr(propagators, "conservation_row",
                         lambda f: seen.append(f.time) or row(f))
@@ -417,6 +419,62 @@ def test_march_never_writes_its_input(grid1d, model, sigma):
     assert not np.array_equal(out.values, values)
 
 
+class _AllocationProbe:
+    """A march's grid that reads tracemalloc at each transform and resets its
+    peak, so each entry of marks closes one stretch of the step loop."""
+
+    def __init__(self, grid):
+        self.grid, self.marks = grid, []
+
+    def __getattr__(self, name):
+        return getattr(self.grid, name)
+
+    def _mark(self):
+        self.marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    def fft(self, values, out=None):
+        self._mark()
+        return self.grid.fft(values, out=out)
+
+    def ifft(self, values, out=None):
+        self._mark()
+        return self.grid.ifft(values, out=out)
+
+
+@pytest.mark.parametrize("grid", [make_grid(1, 512, 30.0), make_grid(2, 32, 8.0)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("model,sigmas", [
+    (Model.RESCALED_LENS, (0.1, 0.0, 0.05, 0.0, 0.01)),
+    (Model.DIRECT, (0.5, 1.0, 2.0, 0.7)),
+], ids=["rescaled-lens", "direct"])
+def test_step_allocates_only_the_multiplier_table(grid, model, sigmas):
+    # beyond the march's own buffers, a step allocates at most its kinetic
+    # multiplier table (new on every lens step, cached on a fixed dt) and O(rows)
+    # bytes of scalars and transform bookkeeping; its nonlinear substep, from an
+    # inverse transform to the next forward one, allocates only the latter.  A
+    # real array of the stack is 20 or 40 KiB here, far above that allowance.
+    scalars = 4096 + 256 * len(sigmas)
+    stack = np.stack([gaussian_state(grid, 1.0).values] * len(sigmas))
+    coefficients = propagators._coefficients(model, sigmas, grid)
+    probe = _AllocationProbe(grid)
+    tracemalloc.start()
+    try:
+        current = tracemalloc.get_traced_memory()[0]
+        grid.kinetic_multiplier((0.123,) * len(sigmas))
+        table = tracemalloc.get_traced_memory()[1] - current
+        propagators._march(stack, probe, 1.0, [1e-3] * 4, coefficients)
+    finally:
+        tracemalloc.stop()
+    # marks: fft, ifft per kick, five kicks; growth over the stretch from mark i
+    growth = [peak - start for (start, _), (_, peak) in zip(probe.marks, probe.marks[1:])]
+    assert len(growth) == 9 and stack.real.nbytes > scalars
+    substeps = growth[1::2]             # ifft -> fft: the nonlinear substeps
+    steps = [a + b for a, b in zip(substeps[1:], growth[2::2][1:])]  # after the first
+    assert max(substeps) <= scalars, substeps
+    assert max(steps) <= (table if model is Model.RESCALED_LENS else 0) + 2 * scalars, steps
+
+
 # ------------------------------------------------------------- batched march
 
 _BATCH_SIGMAS = {Model.DIRECT: (1.0, 0.8, 1.2), Model.RESCALED: (0.5, 0.3, 0.7),
@@ -471,7 +529,7 @@ def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
     # at the first checkpoint (s is the stack's column of sigmas)
     real = grid_module.power_ratio
     monkeypatch.setattr(grid_module, "power_ratio",
-                        lambda rho, s: real(rho, s) + 1e-3j * (s == 0.4))
+                        lambda rho, s, out=None: real(rho, s) + 1e-3j * (s == 0.4))
     fields = _batch(grid1d, Model.RESCALED, (0.3, 0.4, 0.5))
     with pytest.raises(BlowUpError) as err:
         evolve(fields, StepPlan(1e-3), (5e-3, 1e-2, 0.02))
