@@ -63,9 +63,14 @@ class ExperimentConfig:
         reals = [(key, getattr(self, key)) for key in ("half_length", "dt", "width", "t0")]
         for key, value in reals + [("sigma", s) for s in self.sigmas]:
             if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise GridError(f"invalid config: {key} must be a finite real, got {value!r}")
+                    or not math.isfinite(value) or (key != "sigma" and not value > 0):
+                raise GridError(f"invalid config: {key} must be a finite real"
+                                f"{'' if key == 'sigma' else ' > 0'}, got {value!r}")
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        try:
+            make_grid(self.dim, self.n, self.half_length)
+        except GridError as exc:
+            raise GridError(f"invalid config: {exc}") from None
         _validate_experiment(self)
 
     def times(self) -> list[float]:
@@ -98,6 +103,8 @@ class ExperimentConfig:
 _MIN_TIMES = {"global-interaction-picture": 2, "scattering-continuity": 4, "uniform-w1": 2,
               "log-limit-local": 2, "log-limit-global": 2, "gaussian-profile": 2,
               "sobolev-growth": 3, "ode-suite": 3}
+# these fit or group their runs by the gap |nu - sigmas[0]|, as uniform-w1 groups them
+_GAP_FITS = ("local-continuity", "global-interaction-picture", "uniform-w1")
 
 
 def _validate_experiment(cfg: ExperimentConfig) -> None:
@@ -106,10 +113,8 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
     least = _MIN_TIMES.get(name, 1)
     if cfg.n_times < least:
         raise GridError(f"invalid config: {name} needs n_times >= {least}, got {cfg.n_times}")
-    # these fit or group their runs by the gap to sigmas[0], as uniform-w1 groups them
     gaps = {round(abs(nu - sigmas[0]), 12) for nu in sigmas[1:]}
-    if name in ("local-continuity", "global-interaction-picture", "uniform-w1") \
-            and (len(gaps) < 2 or 0.0 in gaps):
+    if name in _GAP_FITS and (len(gaps) < 2 or 0.0 in gaps):
         raise GridError(f"invalid config: {name} needs at least two distinct gaps "
                         f"|nu - sigmas[0]|, all nonzero, got {sorted(gaps)}")
     if name == "global-interaction-picture":
@@ -259,7 +264,7 @@ def _run_ode_suite(cfg: ExperimentConfig):
     env_rows = []
     for s in cfg.sigmas:
         for st in integrate_tau(s, cfg.dim, times):
-            s_of_t = time_change_s(st) if (s > 0 and st.t > 0 and st.tau > 1) else float("nan")
+            s_of_t = time_change_s(st) if (s > 0 and st.tau > 1) else float("nan")
             env_rows.append((s, st.t, st.tau, st.tau_dot, s_of_t,
                             first_integral_residual(st)))
     r_rows = [(st.t, st.r, st.r_dot, first_integral_residual(st),
@@ -285,7 +290,7 @@ def _run_ode_suite(cfg: ExperimentConfig):
             continue
         full = tau_difference_bound(s, cfg.dim, t_ref)
         half = tau_difference_bound(s, cfg.dim, t_half)
-        diff_rows.append((s, t_half, half["sup_ratio"], t_ref, full["sup_ratio"]))
+        diff_rows.append((s, t_half, half, t_ref, full))
     return {
         "envelope.csv": (("sigma", "t", "tau", "tau_dot", "s_sigma", "residual"), env_rows),
         "radial.csv": (("t", "r", "r_dot", "residual", "chevron"), r_rows),
@@ -722,8 +727,9 @@ def sweep(base: ExperimentConfig, axis: str, values, out_dir: str) -> list:
         raise GridError(f"sweep axis must be one of {sorted(field_map)}, got {axis!r}")
 
     def config(v):
-        if axis == "sigma":
-            return replace(base, sigmas=tuple(v) if isinstance(v, (tuple, list)) else (float(v),))
+        if axis == "sigma":   # v replaces sigmas[0]; a gap-fitting experiment keeps its gaps
+            gaps = [nu - base.sigmas[0] for nu in base.sigmas] if base.name in _GAP_FITS else [0]
+            return replace(base, sigmas=tuple(v + gap for gap in gaps))
         return replace(base, **{field_map[axis]: v})
 
     # every config is built, and so validated, before the first run starts

@@ -308,14 +308,9 @@ def energy(field: WaveField) -> float:
     antiderivative of the nonlinear multiplier, fixed so the vacuum has
     zero energy.
     """
-    return energy_from_gradient(field, gradient_norm_sq(field))
-
-
-def energy_from_gradient(field: WaveField, grad_sq: float) -> float:
-    """energy(field), given grad_sq = gradient_norm_sq(field) already taken."""
     g = field.grid
     rho = np.abs(field.values) ** 2
-    kin = 0.5 * grad_sq
+    kin = 0.5 * gradient_norm_sq(field)
     pot = float(g.integrate(_potential_density(rho, field.sigma, field.model)).real)
     if field.model is Model.RESCALED_LENS:
         return kin + 0.25 * position_norm_sq(field) + pot

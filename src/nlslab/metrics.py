@@ -38,22 +38,22 @@ class QuantileRep:
         return cls(*_compact(probs, edges))
 
 
-def _compact(probs: np.ndarray, values: np.ndarray, eps: float = 1e-14):
-    """Drop breakpoints interior to (near-)flat CDF runs.
+def _compact(probs: np.ndarray, values: np.ndarray):
+    """Drop breakpoints interior to (near-)flat CDF runs, steps <= 1e-14.
 
     Underflowing tail cells produce cumulative steps down to ~1e-300,
     which poison the later interpolation with near-zero divisions.  Both
     endpoints of each flat run are kept (they carry the quantile jump);
-    residual sub-eps gaps between kept points are snapped to exact
+    residual sub-1e-14 gaps between kept points are snapped to exact
     duplicates.  The mass moved is far below every quoted tolerance.
     """
     d = np.diff(probs)
-    big = d > eps
+    big = d > 1e-14
     keep = np.empty(probs.shape, dtype=bool)
     keep[0] = keep[-1] = True
     keep[1:-1] = big[:-1] | big[1:]
     p, v = probs[keep].copy(), values[keep]
-    small = np.nonzero(np.diff(p) <= eps)[0]
+    small = np.nonzero(np.diff(p) <= 1e-14)[0]
     for i in small:
         p[i] = p[i + 1]
     return p, v

@@ -16,8 +16,7 @@ import numpy as np
 
 from .envelope import TauEnvelope, chevron_taus
 from .errors import BlowUpError, EnvelopeError, GridError
-from .grid import (Model, WaveField, edge_density, energy_from_gradient, gradient_norm_sq,
-                   lp_norm, mass, nonlinear_phase)
+from .grid import Model, WaveField, edge_density, energy, mass, nonlinear_phase
 
 MASS_DRIFT_TRIP = 1e-8
 LENS_DT_CAP = 0.25
@@ -209,13 +208,10 @@ def free_flow(field: WaveField, dt: float) -> WaveField:
 
 def conservation_row(field: WaveField) -> dict:
     """Observer row: the standard conserved/monitored quantities."""
-    grad_sq = gradient_norm_sq(field)
     return {
         "t": field.time,
         "mass": mass(field),
-        "energy": energy_from_gradient(field, grad_sq),
-        "grad_norm": math.sqrt(grad_sq),
-        "lp_norm": lp_norm(field, 2.0 * field.sigma + 2.0),
+        "energy": energy(field),
         "edge_density": edge_density(field),
     }
 

@@ -136,8 +136,8 @@ def test_criterion_4_ode_first_integrals(acceptance_log):
 def test_criterion_5_tau_difference_bound(acceptance_log):
     drifts = {}
     for sigma in (0.1, 0.01, 0.001):
-        half = tau_difference_bound(sigma, 1, 5e3)["sup_ratio"]
-        full = tau_difference_bound(sigma, 1, 1e4)["sup_ratio"]
+        half = tau_difference_bound(sigma, 1, 5e3)
+        full = tau_difference_bound(sigma, 1, 1e4)
         drifts[sigma] = abs(full / half - 1.0)
     ok = max(drifts.values()) <= 0.2
     assert _record(acceptance_log, 5, "tau-difference bound", ok,

@@ -170,3 +170,19 @@ def test_vectorised_reads_equal_scalar_reads():
     for bad in (-1e-3, math.nan, math.inf):
         with pytest.raises(EnvelopeError):
             TauEnvelope(0.1, 1).taus(np.array([1.0, bad]))
+
+
+def test_time_beyond_the_table_raises_envelope_error():
+    # past t ~ 1e104 a panel's length cubed overflows: both reads raise the
+    # package's error, and the panels added on the way stay those of a table
+    # grown in one go
+    a = 0.1
+    env = TauEnvelope(a, 1)
+    with pytest.raises(EnvelopeError, match="1e[+]200"):
+        env.state(1e200)
+    with pytest.raises(EnvelopeError, match="1e[+]200"):
+        env.taus(np.array([1.0, 1e200]))
+    one_go = envelope._Table(a)
+    for t in (2.0, 1e90):
+        assert env.state(t).tau == 1.0 + one_go.at(t)[0]
+

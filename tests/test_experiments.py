@@ -2,9 +2,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import nlslab
 from nlslab import (ExperimentConfig, EXPERIMENT_NAMES, GridError, RunRecord,
                     VerificationError, default_config, run, sweep, verify)
 from nlslab.cli import main as cli_main
@@ -295,12 +298,20 @@ def _config_text(change):
     _config_text(lambda d: d.update(name="uniform-w1", n_times=1)),
     _config_text(lambda d: d.update(name="sobolev-growth", sigmas=[0.0], t0=10.0)),
     _config_text(lambda d: d.update(name="scattering-continuity", sigmas=[1.5, 0.8])),
+    _config_text(lambda d: d.update(dt=0.0)),
+    _config_text(lambda d: d.update(dt=-4e-3)),
+    _config_text(lambda d: d.update(width=0.0)),
+    _config_text(lambda d: d.update(t0=-0.25)),
+    _config_text(lambda d: d.update(half_length=0.0)),
+    _config_text(lambda d: d.update(dim=3)),
+    _config_text(lambda d: d.update(n=100)),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
         "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
         "one-sigma-local", "one-sigma-global", "one-gap-local", "one-sigma-uniform-w1",
         "ode-last-time-1", "gaussian-t0-below-1", "one-time-uniform-w1",
-        "two-times-sobolev", "two-times-scattering"])
+        "two-times-sobolev", "two-times-scattering", "zero-dt", "negative-dt", "zero-width",
+        "negative-t0", "zero-half-length", "dim-3", "n-not-power-of-two"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -369,15 +380,68 @@ def test_cli_sweep_non_numeric_values_exits_2(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
-def test_cli_sweep_one_sigma_exits_2(tmp_path, capsys):
-    # a sigma sweep gives each run one sigma, and local-continuity needs two gaps
-    code = cli_main(["sweep", "local-continuity", "--axis", "sigma", "--values", "0.8",
+def test_cli_sweep_sigma_keeps_the_gaps(tmp_path):
+    # a gap-fitting experiment's sigma sweep moves sigmas[0] and keeps every gap
+    code = cli_main(["sweep", "local-continuity", "--axis", "sigma", "--values", "0.3",
+                     "--out", str(tmp_path)])
+    record = RunRecord.load(str(tmp_path / "sigma-000" / "record.json"))
+    assert record.status == "complete" and code == (0 if record.passed else 1)
+    assert [round(s, 12) for s in record.config["sigmas"]] == [0.3, 0.31, 0.32, 0.34]
+    assert verify(str(tmp_path / "sigma-000"))["mismatches"] == []
+
+
+def test_cli_sweep_sigma_below_strauss_exits_2(tmp_path, capsys):
+    # the kept gaps put global-interaction-picture's sigmas under the Strauss exponent
+    code = cli_main(["sweep", "global-interaction-picture", "--axis", "sigma",
+                     "--values", "1.0", "--out", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("ERROR: invalid config: global-interaction-picture needs "
+                                   "every sigma >")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+    assert "PASS" not in captured.out and not os.listdir(tmp_path)
+
+
+def test_cli_sweep_bad_n_runs_nothing(tmp_path, capsys):
+    # every config is checked, its grid included, before the first run starts
+    code = cli_main(["sweep", "log-limit-local", "--axis", "N", "--values", "256", "100",
                      "--out", str(tmp_path)])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("ERROR: invalid config: local-continuity needs at least two")
+    assert captured.err.startswith("ERROR: invalid config: N must be a power of two")
     assert "Traceback" not in captured.err and captured.err.count("\n") == 1
-    assert "PASS" not in captured.out and not os.listdir(tmp_path)
+    assert not os.listdir(tmp_path)
+
+
+def test_cli_envelope_beyond_its_table_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"name": "ode-suite", "sigmas": [0.1], "t0": 1e200,
+                                    "n_times": 3}))
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR (EnvelopeError): envelope time 1e+200")
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_runs_do_not_import_scipy(tmp_path):
+    # scipy is a test extra: running and verifying experiments must not load it
+    script = """
+import os, sys
+from nlslab import ExperimentConfig, run, verify
+for name, sigmas in (("local-continuity", (0.8, 0.81, 0.82)),
+                     ("log-limit-local", (0.05, 0.02, 0.01))):
+    cfg = ExperimentConfig(name=name, sigmas=sigmas, n=128, half_length=15.0, dt=4e-3,
+                           t0=0.25, n_times=2)
+    out = os.path.join(sys.argv[1], name)
+    assert run(cfg, out).status == "complete"
+    summary = verify(out)
+    assert not summary["tampered"] and not summary["mismatches"], summary
+assert "scipy" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nlslab.__file__)))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_sweep_non_integer_n_exits_2(tmp_path, capsys):

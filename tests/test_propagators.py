@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from nlslab import (BlowUpError, GridError, Model, StepPlan, energy, evolve, free_flow,
-                    gaussian_state, gradient_norm_sq, l2_distance, make_grid, mass,
+                    gaussian_state, l2_distance, make_grid, mass,
                     power_ratio, step)
 from nlslab import grid as grid_module
 from nlslab import propagators
@@ -553,4 +553,3 @@ def test_conservation_row_energy_matches_energy(grid1d, model, sigma):
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model, phase_slope=0.7)
     row = propagators.conservation_row(phi)
     assert row["energy"] == pytest.approx(energy(phi), rel=1e-14, abs=0.0)
-    assert row["grad_norm"] ** 2 == pytest.approx(gradient_norm_sq(phi), rel=1e-14)
