@@ -199,6 +199,11 @@ def read_csv(path: str):
     return header, rows
 
 
+def _rows(out_dir: str, name: str) -> list:
+    """The rows of out_dir/name as read_csv parses them, without the header."""
+    return read_csv(os.path.join(out_dir, name))[1]
+
+
 def _file_sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -302,11 +307,11 @@ def _run_ode_suite(cfg: ExperimentConfig):
 
 
 def _analyze_ode_suite(cfg: ExperimentConfig, out_dir: str):
-    _, env_rows = read_csv(os.path.join(out_dir, "envelope.csv"))
-    _, r_rows = read_csv(os.path.join(out_dir, "radial.csv"))
-    _, asym_rows = read_csv(os.path.join(out_dir, "asymptotics.csv"))
-    _, log_rows = read_csv(os.path.join(out_dir, "log_asymptote.csv"))
-    _, diff_rows = read_csv(os.path.join(out_dir, "difference_bound.csv"))
+    env_rows = _rows(out_dir, "envelope.csv")
+    r_rows = _rows(out_dir, "radial.csv")
+    asym_rows = _rows(out_dir, "asymptotics.csv")
+    log_rows = _rows(out_dir, "log_asymptote.csv")
+    diff_rows = _rows(out_dir, "difference_bound.csv")
     res = max(abs(r[5]) for r in env_rows)
     res_r = max(abs(r[3]) for r in r_rows)
     verdicts = [
@@ -353,8 +358,8 @@ def _run_local_continuity(cfg: ExperimentConfig):
 
 
 def _analyze_local_continuity(cfg: ExperimentConfig, out_dir: str):
-    _, rows = read_csv(os.path.join(out_dir, "sup_difference.csv"))
-    _, fit = read_csv(os.path.join(out_dir, "fit.csv"))
+    rows = _rows(out_dir, "sup_difference.csv")
+    fit = _rows(out_dir, "fit.csv")
     theta = fit[0][1]
     ordered = sorted(rows, key=lambda r: r[1])
     monotone = all(a[2] <= b[2] + 1e-12 for a, b in zip(ordered, ordered[1:]))
@@ -389,9 +394,9 @@ def _run_global_interaction(cfg: ExperimentConfig):
 
 
 def _analyze_global_interaction(cfg: ExperimentConfig, out_dir: str):
-    _, rows = read_csv(os.path.join(out_dir, "sup_difference.csv"))
-    _, sat = read_csv(os.path.join(out_dir, "saturation.csv"))
-    _, fit = read_csv(os.path.join(out_dir, "fit.csv"))
+    rows = _rows(out_dir, "sup_difference.csv")
+    sat = _rows(out_dir, "saturation.csv")
+    fit = _rows(out_dir, "fit.csv")
     theta = fit[0][1]
     ordered = sorted(rows, key=lambda r: r[1])
     monotone = all(a[2] <= b[2] + 1e-12 for a, b in zip(ordered, ordered[1:]))
@@ -434,7 +439,7 @@ def _run_scattering(cfg: ExperimentConfig):
 
 
 def _analyze_scattering(cfg: ExperimentConfig, out_dir: str):
-    _, rows = read_csv(os.path.join(out_dir, "residuals.csv"))
+    rows = _rows(out_dir, "residuals.csv")
     threshold = strauss_exponent(cfg.dim)
     verdicts = []
     for s in sorted({r[0] for r in rows}):
@@ -475,7 +480,7 @@ def _run_uniform_w1(cfg: ExperimentConfig):
 
 
 def _analyze_uniform_w1(cfg: ExperimentConfig, out_dir: str):
-    _, sup_rows = read_csv(os.path.join(out_dir, "sup_w1.csv"))
+    sup_rows = _rows(out_dir, "sup_w1.csv")
     by_gap = {}
     for nu, gap, sup, t_at in sup_rows:
         by_gap.setdefault(round(gap, 12), []).append(sup)
@@ -484,7 +489,7 @@ def _analyze_uniform_w1(cfg: ExperimentConfig, out_dir: str):
     monotone = all(a <= b + 1e-15 for a, b in zip(means, means[1:]))
     # "bounded sup time" at desk scale: the W1 traces saturate, i.e. the
     # running sup moves by < 5% over the final dyadic octave
-    _, trace = read_csv(os.path.join(out_dir, "w1_trace.csv"))
+    trace = _rows(out_dir, "w1_trace.csv")
     creep = 0.0
     for nu in sorted({r[0] for r in trace}):
         ws = [r[2] for r in trace if r[0] == nu]
@@ -525,8 +530,8 @@ def _run_log_limit_local(cfg: ExperimentConfig):
 
 
 def _analyze_log_limit_local(cfg: ExperimentConfig, out_dir: str):
-    _, rows = read_csv(os.path.join(out_dir, "difference.csv"))
-    _, fits = read_csv(os.path.join(out_dir, "fit.csv"))
+    rows = _rows(out_dir, "difference.csv")
+    fits = _rows(out_dir, "fit.csv")
     c0s = [f[1] for f in fits]
     c0_mid = float(np.median(c0s))
     stable = all(abs(c - c0_mid) <= 0.2 * max(abs(c0_mid), 1e-12) + 1e-12 for c in c0s)
@@ -572,8 +577,8 @@ def _run_log_limit_global(cfg: ExperimentConfig):
 
 
 def _analyze_log_limit_global(cfg: ExperimentConfig, out_dir: str):
-    _, sup_rows = read_csv(os.path.join(out_dir, "sup_w1.csv"))
-    _, pe_rows = read_csv(os.path.join(out_dir, "pseudo_energy.csv"))
+    sup_rows = _rows(out_dir, "sup_w1.csv")
+    pe_rows = _rows(out_dir, "pseudo_energy.csv")
     ordered = sorted(sup_rows)
     monotone = all(a[1] <= b[1] + 1e-15 for a, b in zip(ordered, ordered[1:]))
     verdicts = [_verdict("log-limit-global/sup-w1-monotone", monotone,
@@ -605,7 +610,7 @@ def _run_gaussian_profile(cfg: ExperimentConfig):
 
 
 def _analyze_gaussian_profile(cfg: ExperimentConfig, out_dir: str):
-    _, rows = read_csv(os.path.join(out_dir, "w1_gamma.csv"))
+    rows = _rows(out_dir, "w1_gamma.csv")
     ws = [r[2] for r in rows]
     decreasing = all(b < a for a, b in zip(ws, ws[1:]))
     ts = [r[0] for r in rows]
@@ -636,7 +641,7 @@ def _run_sobolev_growth(cfg: ExperimentConfig):
 
 
 def _analyze_sobolev_growth(cfg: ExperimentConfig, out_dir: str):
-    _, rows = read_csv(os.path.join(out_dir, "h1_growth.csv"))
+    rows = _rows(out_dir, "h1_growth.csv")
     tail = [r[3] for r in rows if r[0] >= rows[len(rows) // 2][0]]
     mid = float(np.median(tail))
     stable = all(abs(r - mid) <= 0.25 * abs(mid) for r in tail)

@@ -154,8 +154,8 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients):
     half = 0.5 * kappa * np.array(dts)[:, None]
     weights = half.copy()
     weights[1:] += half[:-1]
-    # fixed dt repeats a few weights; lens weights never repeat, so keep few
-    multiplier = functools.lru_cache(maxsize=4)(grid.kinetic_multiplier)
+    # a fixed dt reuses two tables, the full and the half step's; lens weights never repeat
+    multiplier = functools.lru_cache(maxsize=2)(grid.kinetic_multiplier)
 
     # buffers reused by every step: rho, V and the lens confinement, which with rho
     # is also rotation's scratch.  The lens coefficients are copied to full rows

@@ -185,4 +185,3 @@ def test_time_beyond_the_table_raises_envelope_error():
     one_go = envelope._Table(a)
     for t in (2.0, 1e90):
         assert env.state(t).tau == 1.0 + one_go.at(t)[0]
-
