@@ -16,15 +16,14 @@ tau - 1 in t, with the exact tau' = sqrt(g(tau)) and tau'' = 1/(2 tau^{a+1})
 at the panel edges.  tau' between edges is the quintic's derivative, so
 the first-integral residual measures the interpolation (about 1e-13)
 rather than vanishing by construction.  Queries hold no state and may
-come in any order; an array of times is read in one vectorised lookup
-that gives each time's scalar value bit for bit.
+come in any order; every read, of one time or many, is one vectorised
+lookup that gives tau and tau' together.
 """
 from __future__ import annotations
 
 import functools
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import EnvelopeError
@@ -121,35 +120,27 @@ class _Table:
             self.edges.append(self.edges[-1] + h)
             w0, self._last = w1, (u1, v1, s1)
 
-    def at(self, t: float) -> tuple[float, float]:
-        """(tau - 1, tau') at time t, tau' as the quintic's derivative."""
-        if not 0.0 <= t < math.inf:
-            raise EnvelopeError(f"envelope time must be finite and >= 0, got {t}")
-        edges = self.edges
-        if t >= edges[-1]:
-            self._grow(t)
-        i = bisect_right(edges, t) - 1
-        x, (c0, c1, c2, c3, c4, c5) = t - edges[i], self.coef[6 * i:6 * i + 6]
-        return (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5)))),
-                c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4 + x * 5.0 * c5))))
-
-    def at_times(self, times: np.ndarray) -> np.ndarray:
-        """tau - 1 at each of the times: `at` over an array, in one lookup."""
+    def at_times(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """(tau - 1, tau') at each of the times, tau' as the quintic's derivative."""
         # numpy is imported on use: this is the package's first module, and loading
         # numpy here, before experiments.py is compiled, raises peak RSS by about 1 MB
         import numpy as np
+        times = np.asarray(times, dtype=float)
         valid = (times >= 0.0) & (times < math.inf)
         if not valid.all():
             raise EnvelopeError(f"envelope time must be finite and >= 0, got "
                                 f"{times[~valid][0]}")
-        if times.size and times.max() >= self.edges[-1]:
-            self._grow(float(times.max()))
+        # grown in query order, so that an unreachable read names the first such time
+        for t in times[times >= self.edges[-1]].tolist():
+            if t >= self.edges[-1]:
+                self._grow(t)
         # buffer views, released on return so that the table can grow again
         edges = np.frombuffer(self.edges)
         i = np.searchsorted(edges, times, side="right") - 1
         x = times - edges[i]
         c0, c1, c2, c3, c4, c5 = np.frombuffer(self.coef).reshape(-1, 6)[i].T
-        return c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5))))
+        return (c0 + x * (c1 + x * (c2 + x * (c3 + x * (c4 + x * c5)))),
+                c1 + x * (2.0 * c2 + x * (3.0 * c3 + x * (4.0 * c4 + x * 5.0 * c5))))
 
 
 @functools.lru_cache(maxsize=32)
@@ -169,13 +160,16 @@ class TauEnvelope:
         self._table = _table(self.dim * self.sigma)
 
     def state(self, t: float) -> EnvelopeState:
-        u, slope = self._table.at(t)
-        return EnvelopeState(t=t, tau=1.0 + u, tau_dot=slope, sigma=self.sigma, dim=self.dim)
+        return self._states([t])[0]
+
+    def _states(self, times) -> list[EnvelopeState]:
+        u, slope = self._table.at_times(times)
+        return [EnvelopeState(t=t, tau=1.0 + a, tau_dot=b, sigma=self.sigma, dim=self.dim)
+                for t, a, b in zip(times, u.tolist(), slope.tolist())]
 
     def taus(self, times: np.ndarray) -> np.ndarray:
-        """tau_sigma at each of the times, each bitwise state(t).tau: the read lens
-        steps make."""
-        return 1.0 + self._table.at_times(times)
+        """tau_sigma at each of the times: the read lens steps make."""
+        return 1.0 + self._table.at_times(times)[0]
 
 
 def chevron_taus(times: np.ndarray) -> np.ndarray:
@@ -194,17 +188,17 @@ def _sorted_grid(t_grid) -> list[float]:
 
 def integrate_tau(sigma: float, dim: int, t_grid) -> list[EnvelopeState]:
     """Sample the tau_sigma trajectory on a sorted nonnegative time grid."""
-    env = TauEnvelope(sigma, dim)
-    return [env.state(t) for t in _sorted_grid(t_grid)]
+    return TauEnvelope(sigma, dim)._states(_sorted_grid(t_grid))
 
 
 def integrate_r(alpha: float, t_grid) -> list[RadialState]:
     """Sample the r_alpha trajectory, r_alpha(t) = tau_{a=alpha}(sqrt(alpha) t)."""
     if not alpha > 0:
         raise EnvelopeError(f"alpha must be positive, got {alpha}")
-    grid, env, root = _sorted_grid(t_grid), TauEnvelope(alpha, 1), math.sqrt(alpha)
+    grid, root = _sorted_grid(t_grid), math.sqrt(alpha)
+    states = TauEnvelope(alpha, 1)._states([root * t for t in grid])
     return [RadialState(t=t, r=st.tau, r_dot=root * st.tau_dot, alpha=alpha)
-            for t, st in zip(grid, (env.state(root * t) for t in grid))]
+            for t, st in zip(grid, states)]
 
 
 def time_change_s(state: EnvelopeState) -> float:

@@ -220,11 +220,6 @@ def position_norm_sq(field: WaveField) -> float:
     return float(g.integrate(g.radius_sq * np.abs(field.values) ** 2).real)
 
 
-def lp_norm(field: WaveField, p: float) -> float:
-    g = field.grid
-    return float(g.integrate(np.abs(field.values) ** p).real ** (1.0 / p))
-
-
 def l2_distance(a: WaveField, b: WaveField) -> float:
     return float(np.sqrt(a.grid.integrate(np.abs(a.values - b.values) ** 2).real))
 

@@ -43,8 +43,7 @@ def _coefficients(model: Model, sigmas, grid):
     for lens models, the weights of V and of |y|^2 in the potential
     nl V + harm |y|^2 as (steps, rows, 1, ...) arrays (None otherwise).  Lens
     models freeze them at the envelope's tau at each step midpoint; the
-    envelope is read once per row for all the steps, and each tau is turned
-    into coefficients by the same scalar arithmetic as a single step.
+    envelope is read once per row for all the steps.
     """
     for s in sigmas if model in (Model.DIRECT, Model.RESCALED) else ():
         if not s > 0:
@@ -65,6 +64,8 @@ def _coefficients(model: Model, sigmas, grid):
             if any(tau <= 0 for tau in taus):
                 raise EnvelopeError(f"envelope tau must be positive, got {min(taus)}")
             a = grid.dim * s
+            # scalar powers: numpy's vectorised power rounds some of these
+            # differently, which moves the CSV bytes of the lens experiments
             row_nl = np.array([tau ** (-a) for tau in taus])
             row_sq = np.array([tau**2 for tau in taus])
             kappa.append(1.0 / row_sq)
@@ -103,32 +104,26 @@ def _step_sizes(t: float, t_end: float, dt_of, tol: float):
 
 
 def rotation(theta: np.ndarray, out: np.ndarray, scratch=(None, None)) -> np.ndarray:
-    """e^{-i theta} into the complex array out, from t = tan(theta/2) alone:
-    cos theta = 1 - 2 t^2/(1 + t^2) and sin theta = 2 t/(1 + t^2).  theta is
+    """e^{-i theta} for a real theta into the complex array out, from t = tan(theta/2)
+    alone: cos theta = 1 - 2 t^2/(1 + t^2) and sin theta = 2 t/(1 + t^2).  theta is
     overwritten, and so is scratch, two real arrays of theta's shape that take
-    t^2 and 1 + t^2 (without them, or for a complex theta, these are new arrays).
+    t^2 and 1 + t^2 (without them, these are new arrays).
 
     numpy 2.4 takes a vectorised path for float64 tan and the scalar libm for cos
     and sin (about 10 against 30-50 us for 2,560 values on a Xeon).  Written
     as 1 minus a small term, the real part keeps the rounding of cos at the small
-    angles of a step.  A real theta is written into the real and imaginary parts
-    of out, since a real-to-complex cast would allocate a complex buffer of up to
-    128 KiB per call; a complex theta (a gain or a loss) gives exp(-i theta) by
-    the same formula in complex arithmetic."""
+    angles of a step.  The parts are written into the real and imaginary parts of
+    out, since a real-to-complex cast would allocate a complex buffer of up to
+    128 KiB per call."""
     t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
-    sq, w = (None, None) if np.iscomplexobj(t) else scratch
-    sq = np.multiply(t, t, out=sq)
-    w = np.add(sq, 1.0, out=w)
+    sq = np.multiply(t, t, out=scratch[0])
+    w = np.add(sq, 1.0, out=scratch[1])
     np.divide(-2.0, w, out=w)   # -2/(1 + t^2)
     t *= w                      # -sin theta
     sq *= w
     sq += 1.0                   # cos theta
-    if np.iscomplexobj(t):
-        np.multiply(t, 1j, out=out)
-        out += sq
-    else:
-        np.copyto(out.real, sq)
-        np.copyto(out.imag, t)
+    np.copyto(out.real, sq)
+    np.copyto(out.imag, t)
     return out
 
 

@@ -43,10 +43,6 @@ class PseudoEnergy:
     def total(self) -> float:
         return self.kinetic + self.confinement + self.nonlinear_plus - self.nonlinear_minus
 
-    @property
-    def absolute_sum(self) -> float:
-        return self.kinetic + self.confinement + self.nonlinear_plus + self.nonlinear_minus
-
 
 def density_from_field(v: WaveField) -> Density:
     """Normalized |v|^2; for lens-variable trajectories this is the rescaled density."""

@@ -154,8 +154,9 @@ def test_integrate_grids_validated():
 
 
 def test_vectorised_reads_equal_scalar_reads():
-    # one array read is each scalar read, bit for bit, also when the read
-    # itself grows the table (a fresh exponent, sorted times past its reach)
+    # an array read that grows the table (a fresh exponent, sorted times past
+    # its reach) equals one-time reads taken afterwards, bit for bit: growing
+    # in one read and reading a table already grown give the same values
     times = np.sort(np.random.default_rng(4).uniform(0.0, 300.0, 3000))
     for sigma, dim in ((0.0371, 1), (0.0371, 2), (1.2917, 1), (0.0, 1)):
         env = TauEnvelope(sigma, dim)
@@ -174,7 +175,8 @@ def test_vectorised_reads_equal_scalar_reads():
 
 def test_time_beyond_the_table_raises_envelope_error():
     # past t ~ 1e104 a panel's length cubed overflows: both reads raise the
-    # package's error, and the panels added on the way stay those of a table
+    # package's error, naming the first time past the table's reach (it grows
+    # in query order), and the panels added on the way stay those of a table
     # grown in one go
     a = 0.1
     env = TauEnvelope(a, 1)
@@ -182,6 +184,7 @@ def test_time_beyond_the_table_raises_envelope_error():
         env.state(1e200)
     with pytest.raises(EnvelopeError, match="1e[+]200"):
         env.taus(np.array([1.0, 1e200]))
-    one_go = envelope._Table(a)
-    for t in (2.0, 1e90):
-        assert env.state(t).tau == 1.0 + one_go.at(t)[0]
+    with pytest.raises(EnvelopeError, match="1e[+]200"):
+        env.taus(np.array([2.0, 1e200, 4e200]))
+    u, _ = envelope._Table(a).at_times(np.array([1e90, 2.0]))
+    assert [env.state(t).tau for t in (1e90, 2.0)] == (1.0 + u).tolist()

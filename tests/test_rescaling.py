@@ -70,7 +70,7 @@ def test_pseudo_energy_components_nonnegative(grid1d, rng):
         e = pseudo_energy(f, _env(1.3, 0.2, sigma=sig))
         for part in (e.kinetic, e.confinement, e.nonlinear_plus, e.nonlinear_minus):
             assert part >= 0.0
-        assert e.absolute_sum >= abs(e.total)
+        assert e.kinetic + e.confinement + e.nonlinear_plus + e.nonlinear_minus >= abs(e.total)
 
 
 def test_pseudo_energy_matches_manual_quadrature(grid1d):
