@@ -13,11 +13,11 @@ from .errors import (BlowUpError, EnvelopeError, GridError, NlsLabError,
                      VerificationError)
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, RunRecord,
                           default_config, run, sweep, verify)
-from .grid import (Density, Grid, Model, WaveField, edge_density, energy,
-                   gaussian_state, gradient_norm_sq, l2_distance, make_grid,
-                   mass, position_norm_sq, power_ratio)
+from .grid import (Density, Grid, Model, WaveField, energy, gaussian_state,
+                   gradient_norm_sq, l2_distance, make_grid, mass, position_norm_sq,
+                   power_ratio)
 from .metrics import gaussian_gamma, sobolev_norm, w1_1d, w2_1d
-from .propagators import StepPlan, conservation_row, evolve, free_flow, step
+from .propagators import StepPlan, evolve, free_flow, step
 from .rescaling import (PROFILE_DILATION, PseudoEnergy, cazenave_haraux_gap,
                         density_from_field, direct_gradient_norm_sq, pseudo_energy)
 from .scattering import (AsymptoticState, extract_asymptotic, free_conjugate,

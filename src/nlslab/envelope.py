@@ -206,6 +206,8 @@ def time_change_s(state: EnvelopeState) -> float:
     a = state.alpha
     if not state.sigma > 0:
         raise EnvelopeError("time change defined for sigma > 0")
+    if a == 1.0:
+        raise EnvelopeError("s_sigma(t) divides by 1 - d sigma: undefined at d sigma = 1")
     if state.t <= 0 or state.tau <= 1.0:
         raise EnvelopeError("s_sigma(t) is defined for t > 0 only")
     return math.log((1.0 - state.tau ** (-a)) / a) / (4.0 * (1.0 - a))

@@ -269,7 +269,7 @@ def _run_ode_suite(cfg: ExperimentConfig):
     env_rows = []
     for s in cfg.sigmas:
         for st in integrate_tau(s, cfg.dim, times):
-            s_of_t = time_change_s(st) if (s > 0 and st.tau > 1) else float("nan")
+            s_of_t = time_change_s(st) if (0 < st.alpha != 1 and st.tau > 1) else float("nan")
             env_rows.append((s, st.t, st.tau, st.tau_dot, s_of_t,
                             first_integral_residual(st)))
     r_rows = [(st.t, st.r, st.r_dot, first_integral_residual(st),
@@ -344,8 +344,8 @@ def _run_local_continuity(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
-    (ref, *runs), _ = evolve([phi, *(phi.with_tags(sigma=nu) for nu in nus)],
-                             StepPlan(cfg.dt), cfg.times())
+    ref, *runs = evolve([phi, *(phi.with_tags(sigma=nu) for nu in nus)],
+                        StepPlan(cfg.dt), cfg.times())
     rows = []
     for nu, run in zip(nus, runs):
         sup = max(l2_distance(a, b) for a, b in zip(run, ref))
@@ -427,7 +427,7 @@ def _run_scattering(cfg: ExperimentConfig):
                 defect_rows.append((s, i, d))
         else:
             # long-range control: forward run only, extraction must stall
-            run, _ = evolve(phi, StepPlan(cfg.dt), cfg.times())
+            run = evolve(phi, StepPlan(cfg.dt), cfg.times())
             out = extract_asymptotic(run)
             hist, converged = out.residual_history, out.converged
         for i, r in enumerate(hist):
@@ -465,7 +465,7 @@ def _run_uniform_w1(cfg: ExperimentConfig):
     starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT_LENS)
               for s in cfg.sigmas]
     ref, *runs = ([density_from_field(f) for f in run]
-                  for run in evolve(starts, StepPlan(cfg.dt), times)[0])
+                  for run in evolve(starts, StepPlan(cfg.dt), times))
     w_rows, sup_rows = [], []
     for nu, run in zip(nus, runs):
         ws = [w1_1d(a, b) for a, b in zip(run, ref)]
@@ -507,9 +507,9 @@ def _run_log_limit_local(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.LOG)
     times = cfg.times()
-    ref, _ = evolve(phi0, StepPlan(cfg.dt), times)
-    runs, _ = evolve([phi0.with_tags(sigma=s, model=Model.RESCALED) for s in cfg.sigmas],
-                     StepPlan(cfg.dt), times)
+    ref = evolve(phi0, StepPlan(cfg.dt), times)
+    runs = evolve([phi0.with_tags(sigma=s, model=Model.RESCALED) for s in cfg.sigmas],
+                  StepPlan(cfg.dt), times)
     rows = []
     for s, run in zip(cfg.sigmas, runs):
         sup = 0.0
@@ -552,7 +552,7 @@ def _run_log_limit_global(cfg: ExperimentConfig):
     times = cfg.times()
     starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.RESCALED_LENS)
               for s in (0.0, *cfg.sigmas)]
-    (log_run, *runs), _ = evolve(starts, StepPlan(cfg.dt), times)
+    log_run, *runs = evolve(starts, StepPlan(cfg.dt), times)
     ref = [density_from_field(f) for f in log_run]
     w_rows, sup_rows, pe_rows = [], [], []
     for s, run in zip(cfg.sigmas, runs):
@@ -601,7 +601,7 @@ def _run_gaussian_profile(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    run, _ = evolve(phi, StepPlan(cfg.dt), times)
+    run = evolve(phi, StepPlan(cfg.dt), times)
     for f, t in zip(run, times):
         w = w1_1d(density_from_field(f), gamma, dilation=PROFILE_DILATION)
         rows.append((t, envelope.state(f.time).tau, w,
@@ -631,7 +631,7 @@ def _run_sobolev_growth(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    run, _ = evolve(phi, StepPlan(cfg.dt), times)
+    run = evolve(phi, StepPlan(cfg.dt), times)
     for f, t in zip(run, times):
         env = envelope.state(f.time)
         # direct-variable gradient norm, evaluated without leaving lens variables

@@ -314,14 +314,6 @@ def energy(field: WaveField) -> float:
     return kin + pot
 
 
-def edge_density(field: WaveField) -> float:
-    """Max |u|^2 over the outermost cells of the box."""
-    rho = np.abs(field.values) ** 2
-    if field.grid.dim == 1:
-        return float(max(rho[0], rho[-1]))
-    return float(max(rho[0, :].max(), rho[-1, :].max(), rho[:, 0].max(), rho[:, -1].max()))
-
-
 @dataclass(frozen=True)
 class Density:
     """Nonnegative grid function integrating to one."""

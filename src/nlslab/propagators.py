@@ -16,7 +16,7 @@ import numpy as np
 
 from .envelope import TauEnvelope, chevron_taus
 from .errors import BlowUpError, EnvelopeError, GridError
-from .grid import Model, WaveField, edge_density, energy, mass, nonlinear_phase
+from .grid import Model, WaveField, mass, nonlinear_phase
 
 MASS_DRIFT_TRIP = 1e-8
 LENS_DT_CAP = 0.25
@@ -201,16 +201,6 @@ def free_flow(field: WaveField, dt: float) -> WaveField:
     return field.with_values(out, time=field.time + dt)
 
 
-def conservation_row(field: WaveField) -> dict:
-    """Observer row: the standard conserved/monitored quantities."""
-    return {
-        "t": field.time,
-        "mass": mass(field),
-        "energy": energy(field),
-        "edge_density": edge_density(field),
-    }
-
-
 def evolve(fields, plan: StepPlan, times):
     """March one field, or a batch of them, through the times, landing exactly
     on each (trimmed last steps) and ending at times[-1].
@@ -219,13 +209,12 @@ def evolve(fields, plan: StepPlan, times):
     start time (their sigma may differ); all of them take the same steps.
     times is a non-empty, strictly increasing sequence of finite times after
     the start time.
-    Returns (states, rows): the field at each of the times and its
-    conservation rows, one at the start and one per time; for a sequence, a
-    tuple of such state lists and a tuple of row lists.  Each row trips
-    BlowUpError if its field's mass has drifted by more than MASS_DRIFT_TRIP
-    of its own starting value.  Lens models step on _lens_schedule_dt from
-    plan.dt and read their envelope at each step's midpoint; the other models
-    step at plan.dt.  All the fields march as one stack of rows.
+    Returns the field at each of the times; for a sequence, a tuple of such
+    state lists.  At each of the times, BlowUpError trips if a field's mass
+    has drifted by more than MASS_DRIFT_TRIP of its own starting value.  Lens
+    models step on _lens_schedule_dt from plan.dt and read their envelope at
+    each step's midpoint; the other models step at plan.dt.  All the fields
+    march as one stack of rows.
     """
     single = isinstance(fields, WaveField)
     fields = (fields,) if single else tuple(fields)
@@ -241,25 +230,17 @@ def evolve(fields, plan: StepPlan, times):
         raise GridError(f"need finite times sorted and after the field time {first.time}, "
                         f"got {targets}")
     mass0 = [mass(f) for f in fields]
-    states, logs = tuple([] for _ in fields), tuple([] for _ in fields)
-
-    def observe(current):
-        for f, log, m0 in zip(current, logs, mass0):
-            log.append(conservation_row(f))
-            if abs(log[-1]["mass"] - m0) > MASS_DRIFT_TRIP * m0:
-                raise BlowUpError(f"mass drift tripwire at t = {f.time:.6g}", time=f.time)
-
+    states = tuple([] for _ in fields)
     lens = _envelope(first.model, first.sigma, grid.dim) is not None
     dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if lens else (lambda t: plan.dt)
     coefficients = _coefficients(first.model, [f.sigma for f in fields], grid)
-    observe(fields)
     values, t = np.stack([f.values for f in fields]), first.time
     for target in targets:
         dts = list(_step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target))))
         # the fields returned so far view the old stack, which _march only reads
         values, t = _march(values, grid, t, dts, coefficients)
-        current = tuple(f.with_values(v, time=t) for f, v in zip(fields, values))
-        observe(current)
-        for state, f in zip(states, current):
-            state.append(f)
-    return (states[0], logs[0]) if single else (states, logs)
+        for state, f, v, m0 in zip(states, fields, values, mass0):
+            state.append(f.with_values(v, time=t))
+            if abs(mass(state[-1]) - m0) > MASS_DRIFT_TRIP * m0:
+                raise BlowUpError(f"mass drift tripwire at t = {t:.6g}", time=t)
+    return states[0] if single else states

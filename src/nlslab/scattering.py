@@ -94,7 +94,7 @@ def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
     datum = free_flow(base, -T)  # free approximation of u(-T)
     defects = []
     for _ in range(REFINE_SWEEPS):
-        [half], _ = evolve(datum.with_tags(time=-T), plan, [-T / 2.0])
+        [half] = evolve(datum.with_tags(time=-T), plan, [-T / 2.0])
         profile = free_conjugate(half)
         defect_vals = profile.values - base.values
         defect = math.sqrt(float(base.grid.integrate(np.abs(defect_vals) ** 2).real))
@@ -103,8 +103,8 @@ def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
             break
         correction = free_flow(base.with_values(defect_vals), -T)
         datum = datum.with_values(datum.values - correction.values, time=-T)
-    trajectory, _ = evolve(datum.with_tags(time=-T), plan,
-                           [T * 2**j for j in range(n_cadences)])
+    trajectory = evolve(datum.with_tags(time=-T), plan,
+                        [T * 2**j for j in range(n_cadences)])
     u_plus = extract_asymptotic(trajectory)
     if not u_plus.converged:
         raise ScatteringError("forward extraction residuals did not decay",
@@ -120,8 +120,8 @@ def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
     theta_hat is the log-log slope of the sup against |nu - sigma|.
     """
     nu_values = list(nu_values)
-    trajectories, _ = evolve([phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0)
-                              for s in (sigma, *nu_values)], plan, times)
+    trajectories = evolve([phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0)
+                           for s in (sigma, *nu_values)], plan, times)
     ref, *runs = ([free_conjugate(f) for f in run] for run in trajectories)
     rows = []
     for nu, run in zip(nu_values, runs):

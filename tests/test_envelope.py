@@ -90,6 +90,8 @@ def test_time_change_domain_errors():
         time_change_s(EnvelopeState(t=0.0, tau=1.0, tau_dot=0.0, sigma=0.1, dim=1))
     with pytest.raises(EnvelopeError):
         time_change_s(EnvelopeState(t=1.0, tau=2.0, tau_dot=0.5, sigma=0.0, dim=1))
+    with pytest.raises(EnvelopeError):   # d sigma = 1: the closed form divides by 1 - d sigma
+        time_change_s(EnvelopeState(t=1.0, tau=2.0, tau_dot=0.5, sigma=0.5, dim=2))
 
 
 # ------------------------------------------------------------- diff bound

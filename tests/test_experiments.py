@@ -423,6 +423,20 @@ def test_cli_envelope_beyond_its_table_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+def test_cli_ode_suite_at_unit_d_sigma_writes_nan(tmp_path, capsys):
+    # s_sigma(t) is undefined at d sigma = 1: the run records nan there, as at
+    # sigma = 0, and no traceback escapes (three checkpoints from t = 1 cannot
+    # reach the log asymptote, so a failed verdict, exit 1, is expected)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"name": "ode-suite", "sigmas": [1.0], "t0": 1.0,
+                                    "n_times": 3}))
+    out = str(tmp_path / "x")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", out]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    header, rows = read_csv(os.path.join(out, "envelope.csv"))
+    column = header.index("s_sigma")
+    assert rows and all(math.isnan(row[column]) for row in rows)
+
 def test_runs_do_not_import_scipy(tmp_path):
     # scipy is a test extra: running and verifying experiments must not load it
     script = """

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlslab import (BlowUpError, Density, GridError, Model, NormalizationError,
-                    ResolutionError, WaveField, edge_density, energy,
+                    ResolutionError, WaveField, energy,
                     gaussian_state, gradient_norm_sq, l2_distance, make_grid,
                     mass, position_norm_sq)
 from nlslab.grid import _potential_density, nonlinear_phase
@@ -147,11 +147,6 @@ def test_lp_and_l2_distance(grid1d):
     shifted = gaussian_state(grid1d, 1.0, center=0.5)
     assert l2_distance(phi, phi) == 0.0
     assert l2_distance(phi, shifted) > 0.1
-
-
-def test_edge_density_small_for_centered_bump(grid1d):
-    phi = gaussian_state(grid1d, 1.0)
-    assert edge_density(phi) < 1e-30
 
 
 # ------------------------------------------------------------- field checks

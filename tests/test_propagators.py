@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlslab import (BlowUpError, GridError, Model, StepPlan, energy, evolve, free_flow,
+from nlslab import (BlowUpError, GridError, Model, StepPlan, evolve, free_flow,
                     gaussian_state, l2_distance, make_grid, mass,
                     power_ratio, step)
 from nlslab import grid as grid_module
@@ -109,8 +109,8 @@ def test_plan_validation():
 
 def _richardson_ratio(phi, dts, t_end, stepper=None):
     plan_ref = StepPlan(dts[-1] / 8.0)
-    [ref], _ = evolve(phi, plan_ref, [t_end])
-    errs = [l2_distance(evolve(phi, StepPlan(dt), [t_end])[0][-1], ref) for dt in dts]
+    [ref] = evolve(phi, plan_ref, [t_end])
+    errs = [l2_distance(evolve(phi, StepPlan(dt), [t_end])[-1], ref) for dt in dts]
     return [a / b for a, b in zip(errs, errs[1:])]
 
 
@@ -127,10 +127,10 @@ def test_gauge_equivalence_direct_rescaled(grid1d):
     # rescaled-model evolution of the scaled datum, substep for substep
     s, t_end = 0.8, 0.2
     phi = gaussian_state(grid1d, 1.0, sigma=s, model=Model.DIRECT)
-    [u], _ = evolve(phi, StepPlan(1e-3), [t_end])
+    [u] = evolve(phi, StepPlan(1e-3), [t_end])
     scale = s ** (1.0 / (2.0 * s))
     psi0 = phi.with_values(scale * phi.values).with_tags(model=Model.RESCALED)
-    [w], _ = evolve(psi0, StepPlan(1e-3), [t_end])
+    [w] = evolve(psi0, StepPlan(1e-3), [t_end])
     bridged = scale * u.values * np.exp(1j * t_end / s)
     err = math.sqrt(float(grid1d.integrate(np.abs(w.values - bridged) ** 2).real))
     assert err <= 1e-12
@@ -169,7 +169,7 @@ def test_log_model_matches_gaussian_ode_oracle(grid1d):
     exact = np.exp(P - 0.5 * Q * grid1d.x**2)
 
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
-    [out], _ = evolve(phi, StepPlan(5e-4), [t_end])
+    [out] = evolve(phi, StepPlan(5e-4), [t_end])
     err = math.sqrt(float(grid1d.integrate(np.abs(out.values - exact) ** 2).real))
     assert err <= 1e-6
 
@@ -180,9 +180,9 @@ def test_log_floor_insensitivity(grid1d, monkeypatch):
     # sensitivity ~7e-8 sits well below the dt = 1e-3 splitting error
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 1e-12)
-    [a], _ = evolve(phi, StepPlan(1e-3), [1.0])
+    [a] = evolve(phi, StepPlan(1e-3), [1.0])
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 5e-13)
-    [b], _ = evolve(phi, StepPlan(1e-3), [1.0])
+    [b] = evolve(phi, StepPlan(1e-3), [1.0])
     assert l2_distance(a, b) <= 2e-7
 
 
@@ -209,7 +209,7 @@ def test_lens_position_norm_stays_bounded(grid1d):
     from nlslab import position_norm_sq
     phi = gaussian_state(grid1d, 1.0, sigma=0.1, model=Model.RESCALED_LENS)
     y0 = position_norm_sq(phi)
-    [final], _ = evolve(phi, StepPlan(5e-3), [50.0])
+    [final] = evolve(phi, StepPlan(5e-3), [50.0])
     assert position_norm_sq(final) <= 20.0 * max(y0, 1.0)
 
 
@@ -242,18 +242,15 @@ def test_evolve_rejects_nonpositive_dt(grid1d):
 
 def test_evolve_trims_final_step(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
-    [out], log = evolve(phi, StepPlan(1e-3), [0.0105])
+    [out] = evolve(phi, StepPlan(1e-3), [0.0105])
     assert out.time == pytest.approx(0.0105, abs=1e-12)
-    assert abs(log[-1]["mass"] - log[0]["mass"]) <= 1e-11
+    assert abs(mass(out) - mass(phi)) <= 1e-11
 
 
 def test_evolve_row_cadence(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     times = (5e-3, 1e-2, 1.5e-2, 2e-2)
-    states, log = evolve(phi, StepPlan(1e-3), times)
-    assert len(log) == 5           # initial + one per time
-    assert log[0]["t"] == 0.0
-    assert [f.time for f in states] == [row["t"] for row in log[1:]]
+    states = evolve(phi, StepPlan(1e-3), times)
     assert [f.time for f in states] == pytest.approx(times, abs=1e-15)
 
 
@@ -292,12 +289,11 @@ def test_evolve_matches_chained_steps(grid1d, model, sigma, checkpoints):
     # every checkpoint
     t_end = 0.0105
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    seen, rows = evolve(phi, StepPlan(1e-3), [*checkpoints, t_end])
+    seen = evolve(phi, StepPlan(1e-3), [*checkpoints, t_end])
     (*_, ref), states = _chained_steps(phi, lambda t: 1e-3, [*checkpoints, t_end],
                                        1e-12 * max(1.0, t_end))
     out = seen[-1]
     assert out.time == ref.time and _rel_l2(out, ref) <= 1e-12
-    assert len(rows) == (5 if checkpoints else 2)   # start, 3 checkpoints, t_end
     for f in seen:
         assert _rel_l2(f, states[f.time]) <= 1e-12
 
@@ -308,7 +304,7 @@ def test_lens_trajectory_matches_chained_steps(grid1d, model, sigma):
     # growing, trimmed steps: the schedule doubles dt0 by t = 4
     dt0, targets = 0.05, (0.3, 2.55, 4.0)
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    snaps, _ = evolve(phi, StepPlan(dt0), targets)
+    snaps = evolve(phi, StepPlan(dt0), targets)
     refs, _ = _chained_steps(phi, lambda t: _lens_schedule_dt(t, dt0), targets, 1e-12)
     for f, ref, target in zip(snaps, refs, targets):
         assert f.time == ref.time and f.time == pytest.approx(target)
@@ -343,12 +339,12 @@ def test_checkpoints_equal_chained_evolve(grid1d, model, sigma, dt0, targets):
     # one march through the checkpoints is the chain of single-target
     # evolve calls, bit for bit, on fixed and on growing lens steps
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    snaps, rows = evolve(phi, StepPlan(dt0), targets)
+    snaps = evolve(phi, StepPlan(dt0), targets)
     cur = phi
     for f, target in zip(snaps, targets):
-        [cur], _ = evolve(cur, StepPlan(dt0), [target])
+        [cur] = evolve(cur, StepPlan(dt0), [target])
         assert f.time == cur.time and np.array_equal(f.values, cur.values)
-    assert len(snaps) == len(targets) and len(rows) == len(targets) + 1
+    assert len(snaps) == len(targets)
 
 
 @pytest.mark.parametrize("model", [Model.RESCALED, Model.RESCALED_LENS],
@@ -360,9 +356,9 @@ def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
     real = propagators.rotation
     monkeypatch.setattr(propagators, "rotation",
                         lambda theta, out, scratch: real(theta, out, scratch) * (1.0 + 1e-6))
-    row, seen = propagators.conservation_row, []
-    monkeypatch.setattr(propagators, "conservation_row",
-                        lambda f: seen.append(f.time) or row(f))
+    real_mass, seen = propagators.mass, []
+    monkeypatch.setattr(propagators, "mass",
+                        lambda f: seen.append(f.time) or real_mass(f))
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     with pytest.raises(BlowUpError) as err:
         evolve(phi, StepPlan(1e-3), (5e-3, 1e-2, 0.02))
@@ -483,16 +479,15 @@ def _batch(grid, model, sigmas):
 
 
 def _assert_batch_equals_single_runs(fields, plan, times):
-    runs, logs = evolve(fields, plan, times)
-    assert isinstance(runs, tuple) and len(runs) == len(logs) == len(fields)
-    for phi, run, log in zip(fields, runs, logs):
-        single, single_log = evolve(phi, plan, times)
+    runs = evolve(fields, plan, times)
+    assert isinstance(runs, tuple) and len(runs) == len(fields)
+    for phi, run in zip(fields, runs):
+        single = evolve(phi, plan, times)
         assert len(run) == len(single) == len(times)
         for batch_snap, f in zip(run, single):
             assert batch_snap.time == f.time
             assert batch_snap.sigma == f.sigma
             assert np.array_equal(batch_snap.values, f.values)
-        assert log == single_log
 
 
 @pytest.mark.parametrize("model", list(_BATCH_SIGMAS),
@@ -537,15 +532,8 @@ def test_batched_snapshots_stay_frozen(grid1d):
     # never write into it, so each equals a march that stops at its time
     fields = _batch(grid1d, Model.RESCALED_LENS, _BATCH_SIGMAS[Model.RESCALED_LENS])
     times = (2e-3, 5e-3, 0.01)
-    runs, _ = evolve(fields, StepPlan(1e-3), times)
+    runs = evolve(fields, StepPlan(1e-3), times)
     for k in range(len(times) - 1):
-        stopped, _ = evolve(fields, StepPlan(1e-3), times[:k + 1])
+        stopped = evolve(fields, StepPlan(1e-3), times[:k + 1])
         for run, ref in zip(runs, stopped):
             assert np.array_equal(run[k].values, ref[k].values)
-
-
-@pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
-def test_conservation_row_energy_matches_energy(grid1d, model, sigma):
-    phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model, phase_slope=0.7)
-    row = propagators.conservation_row(phi)
-    assert row["energy"] == pytest.approx(energy(phi), rel=1e-14, abs=0.0)

@@ -149,7 +149,7 @@ def test_continuity_residual_second_order(grid1d):
     # [DERIVED] d_t rho + tau^{-2} div J = 0 holds to O(dt^2) across one
     # split step (away from the time-symmetric t = 0 state)
     phi = _lens_field(grid1d)
-    [v0], _ = evolve(phi, StepPlan(1e-3), [0.5])
+    [v0] = evolve(phi, StepPlan(1e-3), [0.5])
     res = []
     for dt in (2e-3, 1e-3, 5e-4):
         v1 = step(v0, StepPlan(dt))
@@ -219,7 +219,7 @@ def test_dispersive_bound_short_run():
     g = make_grid(1, 512, 30.0)
     u = gaussian_state(g, 1.0, sigma=0.8, model=Model.DIRECT_LENS)
     times = [0.5, 1.0, 2.0, 4.0, 8.0]
-    fields, _ = evolve(u, StepPlan(2e-3), times)
+    fields = evolve(u, StepPlan(2e-3), times)
     # ||grad v(t)|| / <t>^{1 - d sigma / 2} and the terms <t>^{-2} ||J||_{L1}
     # of the current's dyadic partial sums
     weighted, current_terms = [], []
