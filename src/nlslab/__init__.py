@@ -17,7 +17,7 @@ from .grid import (Density, Grid, Model, WaveField, energy, gaussian_state,
                    gradient_norm_sq, l2_distance, make_grid, mass, position_norm_sq,
                    power_ratio)
 from .metrics import gaussian_gamma, sobolev_norm, w1_1d, w2_1d
-from .propagators import StepPlan, evolve, free_flow, step
+from .propagators import evolve, free_flow
 from .rescaling import (PROFILE_DILATION, PseudoEnergy, cazenave_haraux_gap,
                         density_from_field, direct_gradient_norm_sq, pseudo_energy)
 from .scattering import (AsymptoticState, extract_asymptotic, free_conjugate,

@@ -27,7 +27,7 @@ from .envelope import (TauEnvelope, first_integral_residual, integrate_r, integr
 from .errors import GridError, NlsLabError, VerificationError
 from .grid import Model, gaussian_state, l2_distance, make_grid
 from .metrics import gaussian_gamma, w1_1d
-from .propagators import StepPlan, evolve
+from .propagators import evolve
 from .rescaling import (PROFILE_DILATION, density_from_field,
                         direct_gradient_norm_sq, pseudo_energy)
 from .scattering import (extract_asymptotic, interaction_picture_continuity, scattering_map,
@@ -117,6 +117,8 @@ def _validate_experiment(cfg: ExperimentConfig) -> None:
     if name in _GAP_FITS and (len(gaps) < 2 or 0.0 in gaps):
         raise GridError(f"invalid config: {name} needs at least two distinct gaps "
                         f"|nu - sigmas[0]|, all nonzero, got {sorted(gaps)}")
+    if dim != 1 and name in ("uniform-w1", "log-limit-global", "gaussian-profile"):
+        raise GridError(f"invalid config: {name} needs dim = 1 (W1 of 1-D densities)")
     if name == "global-interaction-picture":
         s0 = strauss_exponent(dim)
         if min(sigmas) <= s0:
@@ -345,7 +347,7 @@ def _run_local_continuity(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
     ref, *runs = evolve([phi, *(phi.with_tags(sigma=nu) for nu in nus)],
-                        StepPlan(cfg.dt), cfg.times())
+                        cfg.dt, cfg.times())
     rows = []
     for nu, run in zip(nus, runs):
         sup = max(l2_distance(a, b) for a, b in zip(run, ref))
@@ -375,7 +377,7 @@ def _run_global_interaction(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
-    report = interaction_picture_continuity(phi, base, nus, StepPlan(cfg.dt), cfg.times())
+    report = interaction_picture_continuity(phi, base, nus, cfg.dt, cfg.times())
     rows = [(r["nu"], abs(r["nu"] - base), r["sup"], r["t_at_sup"])
             for r in report["rows"]]
     sat_rows = []
@@ -419,7 +421,7 @@ def _run_scattering(cfg: ExperimentConfig):
     for s in cfg.sigmas:
         phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT)
         if s > threshold:
-            state, diag = scattering_map(phi, s, StepPlan(cfg.dt), cfg.t0,
+            state, diag = scattering_map(phi, s, cfg.dt, cfg.t0,
                                          n_cadences=cfg.n_times)
             hist = state.residual_history
             converged = state.converged
@@ -427,7 +429,7 @@ def _run_scattering(cfg: ExperimentConfig):
                 defect_rows.append((s, i, d))
         else:
             # long-range control: forward run only, extraction must stall
-            run = evolve(phi, StepPlan(cfg.dt), cfg.times())
+            run = evolve(phi, cfg.dt, cfg.times())
             out = extract_asymptotic(run)
             hist, converged = out.residual_history, out.converged
         for i, r in enumerate(hist):
@@ -465,7 +467,7 @@ def _run_uniform_w1(cfg: ExperimentConfig):
     starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT_LENS)
               for s in cfg.sigmas]
     ref, *runs = ([density_from_field(f) for f in run]
-                  for run in evolve(starts, StepPlan(cfg.dt), times))
+                  for run in evolve(starts, cfg.dt, times))
     w_rows, sup_rows = [], []
     for nu, run in zip(nus, runs):
         ws = [w1_1d(a, b) for a, b in zip(run, ref)]
@@ -507,9 +509,9 @@ def _run_log_limit_local(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.LOG)
     times = cfg.times()
-    ref = evolve(phi0, StepPlan(cfg.dt), times)
+    ref = evolve(phi0, cfg.dt, times)
     runs = evolve([phi0.with_tags(sigma=s, model=Model.RESCALED) for s in cfg.sigmas],
-                  StepPlan(cfg.dt), times)
+                  cfg.dt, times)
     rows = []
     for s, run in zip(cfg.sigmas, runs):
         sup = 0.0
@@ -552,7 +554,7 @@ def _run_log_limit_global(cfg: ExperimentConfig):
     times = cfg.times()
     starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.RESCALED_LENS)
               for s in (0.0, *cfg.sigmas)]
-    log_run, *runs = evolve(starts, StepPlan(cfg.dt), times)
+    log_run, *runs = evolve(starts, cfg.dt, times)
     ref = [density_from_field(f) for f in log_run]
     w_rows, sup_rows, pe_rows = [], [], []
     for s, run in zip(cfg.sigmas, runs):
@@ -601,7 +603,7 @@ def _run_gaussian_profile(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    run = evolve(phi, StepPlan(cfg.dt), times)
+    run = evolve(phi, cfg.dt, times)
     for f, t in zip(run, times):
         w = w1_1d(density_from_field(f), gamma, dilation=PROFILE_DILATION)
         rows.append((t, envelope.state(f.time).tau, w,
@@ -631,7 +633,7 @@ def _run_sobolev_growth(cfg: ExperimentConfig):
     times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    run = evolve(phi, StepPlan(cfg.dt), times)
+    run = evolve(phi, cfg.dt, times)
     for f, t in zip(run, times):
         env = envelope.state(f.time)
         # direct-variable gradient norm, evaluated without leaving lens variables

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,17 +19,6 @@ from .grid import Model, WaveField, mass, nonlinear_phase
 
 MASS_DRIFT_TRIP = 1e-8
 LENS_DT_CAP = 0.25
-
-
-@dataclass(frozen=True)
-class StepPlan:
-    """Time-step parameters of `step` and `evolve`."""
-
-    dt: float
-
-    def __post_init__(self):
-        if self.dt == 0 or not math.isfinite(self.dt):
-            raise GridError(f"dt must be a nonzero finite real, got {self.dt}")
 
 
 def _coefficients(model: Model, sigmas, grid):
@@ -94,11 +82,9 @@ def _lens_schedule_dt(t: float, dt0: float) -> float:
 
 
 def _step_sizes(t: float, t_end: float, dt_of, tol: float):
-    """Steps dt_of(t) from t to t_end, the last trimmed."""
+    """Steps dt_of(t) > 0 (evolve checks dt) from t to t_end, the last trimmed."""
     while t < t_end - tol:
         dt = min(dt_of(t), t_end - t)
-        if not dt > 0:
-            raise GridError(f"time steps must be positive, got {dt}")
         yield dt
         t += dt
 
@@ -185,15 +171,6 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients):
     return values, times[-1]
 
 
-def step(field: WaveField, plan: StepPlan) -> WaveField:
-    """One split step of plan.dt (of either sign) in the field's own model and
-    sigma; lens coefficients are frozen at the model's own envelope at the
-    step midpoint."""
-    values, t = _march(field.values[None], field.grid, field.time, [plan.dt],
-                       _coefficients(field.model, (field.sigma,), field.grid))
-    return field.with_values(values[0], time=t)
-
-
 def free_flow(field: WaveField, dt: float) -> WaveField:
     """Exact free Schrodinger flow e^{i (dt/2) Lap} over dt (linear substep alone)."""
     g = field.grid
@@ -201,21 +178,23 @@ def free_flow(field: WaveField, dt: float) -> WaveField:
     return field.with_values(out, time=field.time + dt)
 
 
-def evolve(fields, plan: StepPlan, times):
+def evolve(fields, dt: float, times):
     """March one field, or a batch of them, through the times, landing exactly
     on each (trimmed last steps) and ending at times[-1].
 
     fields is a WaveField or a sequence of WaveFields sharing grid, model and
     start time (their sigma may differ); all of them take the same steps.
-    times is a non-empty, strictly increasing sequence of finite times after
-    the start time.
+    dt is a finite real > 0.  times is a non-empty, strictly increasing
+    sequence of finite times after the start time.
     Returns the field at each of the times; for a sequence, a tuple of such
     state lists.  At each of the times, BlowUpError trips if a field's mass
     has drifted by more than MASS_DRIFT_TRIP of its own starting value.  Lens
-    models step on _lens_schedule_dt from plan.dt and read their envelope at
-    each step's midpoint; the other models step at plan.dt.  All the fields
+    models step on _lens_schedule_dt from dt and read their envelope at
+    each step's midpoint; the other models step at dt.  All the fields
     march as one stack of rows.
     """
+    if not 0 < dt < math.inf:
+        raise GridError(f"dt must be a finite real > 0, got {dt}")
     single = isinstance(fields, WaveField)
     fields = (fields,) if single else tuple(fields)
     if not fields:
@@ -232,7 +211,7 @@ def evolve(fields, plan: StepPlan, times):
     mass0 = [mass(f) for f in fields]
     states = tuple([] for _ in fields)
     lens = _envelope(first.model, first.sigma, grid.dim) is not None
-    dt_of = (lambda t: _lens_schedule_dt(t, plan.dt)) if lens else (lambda t: plan.dt)
+    dt_of = (lambda t: _lens_schedule_dt(t, dt)) if lens else (lambda t: dt)
     coefficients = _coefficients(first.model, [f.sigma for f in fields], grid)
     values, t = np.stack([f.values for f in fields]), first.time
     for target in targets:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridError, ScatteringError
 from .grid import Model, WaveField, gradient_norm_sq, l2_distance, mass, position_norm_sq
-from .propagators import StepPlan, evolve, free_flow
+from .propagators import evolve, free_flow
 
 # scattering_map's backward refinement: at most this many sweeps, stopping once
 # the L2 defect of the conjugated profile at -T/2 falls below the tolerance
@@ -75,7 +75,7 @@ def extract_asymptotic(fields) -> AsymptoticState:
                            converged=converged)
 
 
-def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
+def scattering_map(u_minus: WaveField, sigma: float, dt: float,
                    t_infinity: float, n_cadences: int = 4):
     """u- -> u+: backward wave-operator construction then forward extraction.
 
@@ -94,7 +94,7 @@ def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
     datum = free_flow(base, -T)  # free approximation of u(-T)
     defects = []
     for _ in range(REFINE_SWEEPS):
-        [half] = evolve(datum.with_tags(time=-T), plan, [-T / 2.0])
+        [half] = evolve(datum.with_tags(time=-T), dt, [-T / 2.0])
         profile = free_conjugate(half)
         defect_vals = profile.values - base.values
         defect = math.sqrt(float(base.grid.integrate(np.abs(defect_vals) ** 2).real))
@@ -103,7 +103,7 @@ def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
             break
         correction = free_flow(base.with_values(defect_vals), -T)
         datum = datum.with_values(datum.values - correction.values, time=-T)
-    trajectory = evolve(datum.with_tags(time=-T), plan,
+    trajectory = evolve(datum.with_tags(time=-T), dt,
                         [T * 2**j for j in range(n_cadences)])
     u_plus = extract_asymptotic(trajectory)
     if not u_plus.converged:
@@ -113,7 +113,7 @@ def scattering_map(u_minus: WaveField, sigma: float, plan: StepPlan,
 
 
 def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
-                                   plan: StepPlan, times) -> dict:
+                                   dt: float, times) -> dict:
     """Global-continuity surrogate: sup_t of the conjugated difference norms.
 
     All runs share the datum phi, isolating the |nu - sigma|^theta term;
@@ -121,7 +121,7 @@ def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
     """
     nu_values = list(nu_values)
     trajectories = evolve([phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0)
-                           for s in (sigma, *nu_values)], plan, times)
+                           for s in (sigma, *nu_values)], dt, times)
     ref, *runs = ([free_conjugate(f) for f in run] for run in trajectories)
     rows = []
     for nu, run in zip(nu_values, runs):

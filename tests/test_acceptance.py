@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlslab import (Density, Model, PROFILE_DILATION, StepPlan,
+from nlslab import (Density, Model, PROFILE_DILATION,
                     TauEnvelope, cazenave_haraux_gap, density_from_field,
                     direct_gradient_norm_sq, energy, evolve, extract_asymptotic,
                     first_integral_residual, gaussian_gamma, gaussian_state,
@@ -36,13 +36,13 @@ def _l2_drifts(vals):
 
 def test_criterion_1_conservation(acceptance_log, frozen_lens_step):
     grid = make_grid(1, 256, 20.0)
-    plan = StepPlan(1e-3)
+    dt = 1e-3
     drifts = {}
     for tag, sigma, model in (("direct", 1.0, Model.DIRECT),
                               ("rescaled", 0.5, Model.RESCALED),
                               ("log", 0.0, Model.LOG)):
         phi = gaussian_state(grid, 1.0, sigma=sigma, model=model)
-        states = [phi, *evolve(phi, plan, [0.5 * k for k in range(1, 21)])]
+        states = [phi, *evolve(phi, dt, [0.5 * k for k in range(1, 21)])]
         drifts[tag] = (_l2_drifts([mass(f) for f in states]),
                        _l2_drifts([energy(f) for f in states]))
     # lens conservation is checked on the frozen-envelope (autonomous)
@@ -71,8 +71,8 @@ def test_criterion_2_splitting_order(acceptance_log):
     ratios = {}
     for model, sigma in specs:
         phi = gaussian_state(grid, 1.0, sigma=sigma, model=model)
-        [ref] = evolve(phi, StepPlan(1.25e-4), [1.0])
-        errs = [l2_distance(evolve(phi, StepPlan(dt), [1.0])[-1], ref)
+        [ref] = evolve(phi, 1.25e-4, [1.0])
+        errs = [l2_distance(evolve(phi, dt, [1.0])[-1], ref)
                 for dt in (4e-3, 2e-3, 1e-3)]
         ratios[model.value] = [a / b for a, b in zip(errs, errs[1:])]
     ok = all(3.5 <= r <= 4.5 for rs in ratios.values() for r in rs)
@@ -147,9 +147,9 @@ def test_criterion_5_tau_difference_bound(acceptance_log):
 
 # ---------------------------------------------------------------- 6
 
-def _sup_l2_trace(grid, base, nus, plan, times):
+def _sup_l2_trace(grid, base, nus, dt, times):
     def trajectory(s):
-        return evolve(gaussian_state(grid, 1.0, sigma=s, model=Model.DIRECT), plan, times)
+        return evolve(gaussian_state(grid, 1.0, sigma=s, model=Model.DIRECT), dt, times)
 
     ref = trajectory(base)
     sups = [max(l2_distance(a, b) for a, b in zip(trajectory(nu), ref))
@@ -161,12 +161,12 @@ def _sup_l2_trace(grid, base, nus, plan, times):
 
 def test_criterion_6_local_continuity(acceptance_log):
     grid = make_grid(1, 256, 20.0)
-    plan = StepPlan(2e-3)
+    dt = 2e-3
     times = (0.5, 1.0, 2.0)
     results = {}
     for base in (0.8, 0.3):
         nus = [base + off for off in (0.01, 0.02, 0.04)]
-        sups, theta = _sup_l2_trace(grid, base, nus, plan, times)
+        sups, theta = _sup_l2_trace(grid, base, nus, dt, times)
         mono = all(a < b for a, b in zip(sups, sups[1:]))
         results[base] = (theta, mono)
     ok = (0.9 <= results[0.8][0] <= 1.1 and results[0.8][1]
@@ -185,7 +185,7 @@ def test_criterion_7_global_interaction_picture(acceptance_log):
     phi = gaussian_state(grid, 1.0, sigma=sigma, amplitude=0.5)
     nus = [sigma + off for off in (0.02, 0.04, 0.08)]
     times = [2.0 * 2**j for j in range(8)]
-    report = interaction_picture_continuity(phi, sigma, nus, StepPlan(1e-2), times)
+    report = interaction_picture_continuity(phi, sigma, nus, 1e-2, times)
     theta = report["theta_hat"]
     sat = 0.0
     for row in report["rows"]:
@@ -196,12 +196,12 @@ def test_criterion_7_global_interaction_picture(acceptance_log):
     # scattering extraction at sigma = 1.5 and the long-range negative control
     g2 = make_grid(1, 2048, 160.0)
     u_minus = gaussian_state(g2, 1.0, sigma=sigma, amplitude=0.7)
-    state, _ = scattering_map(u_minus, sigma, StepPlan(5e-3), 4.0)
+    state, _ = scattering_map(u_minus, sigma, 5e-3, 4.0)
     hist = state.residual_history
     decays = sum(b < a for a, b in zip(hist, hist[1:]))
 
     control = gaussian_state(g2, 1.0, sigma=0.8, amplitude=0.7)
-    traj = evolve(control, StepPlan(5e-3), (4.0, 8.0, 16.0, 32.0))
+    traj = evolve(control, 5e-3, (4.0, 8.0, 16.0, 32.0))
     stalled = not extract_asymptotic(traj).converged
 
     ok = (0.8 <= theta <= 1.2 and sat <= 0.05
@@ -221,7 +221,7 @@ def test_criterion_8_uniform_w1(acceptance_log):
 
     def densities(s):
         phi = gaussian_state(grid, 1.0, sigma=s, model=Model.DIRECT_LENS)
-        snaps = evolve(phi, StepPlan(1e-3), times)
+        snaps = evolve(phi, 1e-3, times)
         return [density_from_field(f) for f in snaps]
 
     ref = densities(base)
@@ -283,12 +283,12 @@ def test_criterion_9_weighted_pseudo_energy(acceptance_log):
 
 def test_criterion_10_log_limit_local(acceptance_log):
     grid = make_grid(1, 256, 20.0)
-    plan = StepPlan(1e-3)
+    dt = 1e-3
     times = (1.0, 2.0, 4.0)
     phi0 = gaussian_state(grid, 1.0, sigma=0.0, model=Model.LOG)
 
     def trajectory(field):
-        return evolve(field, plan, times)
+        return evolve(field, dt, times)
 
     ref = trajectory(phi0)
     c0s, rate = [], []
@@ -315,7 +315,7 @@ def test_criterion_11_gaussian_profile(acceptance_log):
     grid = make_grid(1, 512, 30.0)
     phi = gaussian_state(grid, 3.0, sigma=0.0, model=Model.RESCALED_LENS)
     targets = [10.0, 1e2, 1e3, 2e3, 4e3, 1e4]
-    fields = evolve(phi, StepPlan(1e-3), targets)
+    fields = evolve(phi, 1e-3, targets)
     envelope = TauEnvelope(0.0, 1)
     snap = [(f, envelope.state(f.time)) for f in fields]
     gamma = gaussian_gamma(grid)
@@ -344,7 +344,7 @@ def test_criterion_12_log_limit_global(acceptance_log):
 
     def densities(s):
         phi = gaussian_state(grid, 1.0, sigma=s, model=Model.RESCALED_LENS)
-        snaps = evolve(phi, StepPlan(1e-3), times)
+        snaps = evolve(phi, 1e-3, times)
         return [density_from_field(f) for f in snaps]
 
     ref = densities(0.0)

@@ -305,13 +305,19 @@ def _config_text(change):
     _config_text(lambda d: d.update(half_length=0.0)),
     _config_text(lambda d: d.update(dim=3)),
     _config_text(lambda d: d.update(n=100)),
+    json.dumps({"name": "gaussian-profile", "dim": 2, "n": 64, "half_length": 30.0,
+                "sigmas": [0.0], "width": 3.0, "t0": 10.0, "n_times": 6, "dt": 0.005}),
+    *(json.dumps({"name": name, "dim": 2, "n": 64, "half_length": 10.0, "sigmas": sigmas,
+                  "t0": 1.0, "n_times": 4})
+      for name, sigmas in (("uniform-w1", [0.3, 0.31, 0.32]), ("log-limit-global", [0.1, 0.05]))),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
         "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
         "one-sigma-local", "one-sigma-global", "one-gap-local", "one-sigma-uniform-w1",
         "ode-last-time-1", "gaussian-t0-below-1", "one-time-uniform-w1",
         "two-times-sobolev", "two-times-scattering", "zero-dt", "negative-dt", "zero-width",
-        "negative-t0", "zero-half-length", "dim-3", "n-not-power-of-two"])
+        "negative-t0", "zero-half-length", "dim-3", "n-not-power-of-two",
+        "dim-2-gaussian-profile", "dim-2-uniform-w1", "dim-2-log-limit-global"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)

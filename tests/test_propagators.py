@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nlslab import (BlowUpError, GridError, Model, StepPlan, evolve, free_flow,
+from nlslab import (BlowUpError, GridError, Model, evolve, free_flow,
                     gaussian_state, l2_distance, make_grid, mass,
-                    power_ratio, step)
+                    power_ratio)
 from nlslab import grid as grid_module
 from nlslab import propagators
 from nlslab.propagators import _lens_schedule_dt
@@ -64,7 +64,7 @@ def test_free_flow_invertible(grid1d):
 def test_zero_field_fixed_point(grid1d):
     from nlslab import WaveField
     zero = WaveField(grid1d, np.zeros(grid1d.shape), 0.0, 1.0, Model.DIRECT)
-    out = step(zero, StepPlan(1e-3))
+    [out] = evolve(zero, 1e-3, [1e-3])
     assert mass(out) == 0.0
 
 
@@ -78,17 +78,17 @@ def test_constant_modulus_phase_rotation(grid1d):
     from nlslab import WaveField
     u = WaveField(grid1d, vals, 0.0, 0.7, Model.DIRECT)
     dt = 1e-2
-    out = step(u, StepPlan(dt))
+    [out] = evolve(u, dt, [dt])
     expected = free_flow(u, dt).values * np.exp(-1j * dt)
     assert np.abs(out.values - expected).max() <= 1e-13
 
 
-def test_strang_time_reversible(grid1d):
+def test_strang_time_reversible(grid1d, one_step):
     # a backward step undoes a forward one in every model: the lens
     # coefficients of both are frozen at the same midpoint t = 0.505
     for model, sigma in _MODELS:
         phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model).with_tags(time=0.5)
-        back = step(step(phi, StepPlan(1e-2)), StepPlan(-1e-2))
+        back = one_step(one_step(phi, 1e-2), -1e-2)
         assert l2_distance(back, phi) <= 1e-13, model
 
 
@@ -97,20 +97,14 @@ def test_step_model_tag_enforcement(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     for model in (Model.DIRECT, Model.RESCALED):
         with pytest.raises(GridError):
-            step(phi.with_tags(model=model, sigma=0.0), StepPlan(1e-3))
-
-
-def test_plan_validation():
-    with pytest.raises(GridError):
-        StepPlan(0.0)
+            evolve(phi.with_tags(model=model, sigma=0.0), 1e-3, [1e-3])
 
 
 # ------------------------------------------------------------- convergence
 
 def _richardson_ratio(phi, dts, t_end, stepper=None):
-    plan_ref = StepPlan(dts[-1] / 8.0)
-    [ref] = evolve(phi, plan_ref, [t_end])
-    errs = [l2_distance(evolve(phi, StepPlan(dt), [t_end])[-1], ref) for dt in dts]
+    [ref] = evolve(phi, dts[-1] / 8.0, [t_end])
+    errs = [l2_distance(evolve(phi, dt, [t_end])[-1], ref) for dt in dts]
     return [a / b for a, b in zip(errs, errs[1:])]
 
 
@@ -127,10 +121,10 @@ def test_gauge_equivalence_direct_rescaled(grid1d):
     # rescaled-model evolution of the scaled datum, substep for substep
     s, t_end = 0.8, 0.2
     phi = gaussian_state(grid1d, 1.0, sigma=s, model=Model.DIRECT)
-    [u] = evolve(phi, StepPlan(1e-3), [t_end])
+    [u] = evolve(phi, 1e-3, [t_end])
     scale = s ** (1.0 / (2.0 * s))
     psi0 = phi.with_values(scale * phi.values).with_tags(model=Model.RESCALED)
-    [w] = evolve(psi0, StepPlan(1e-3), [t_end])
+    [w] = evolve(psi0, 1e-3, [t_end])
     bridged = scale * u.values * np.exp(1j * t_end / s)
     err = math.sqrt(float(grid1d.integrate(np.abs(w.values - bridged) ** 2).real))
     assert err <= 1e-12
@@ -138,11 +132,11 @@ def test_gauge_equivalence_direct_rescaled(grid1d):
 
 def test_rescaled_approaches_log_linearly_in_sigma(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
-    plan = StepPlan(1e-3)
-    ref = step(phi, plan)
+    dt = 1e-3
+    [ref] = evolve(phi, dt, [dt])
     diffs = []
     for s in (1e-3, 1e-4):
-        out = step(phi.with_tags(sigma=s, model=Model.RESCALED), plan)
+        [out] = evolve(phi.with_tags(sigma=s, model=Model.RESCALED), dt, [dt])
         diffs.append(l2_distance(out, ref.with_tags(sigma=s, model=Model.RESCALED)))
     assert 8.0 <= diffs[0] / diffs[1] <= 12.0
 
@@ -169,7 +163,7 @@ def test_log_model_matches_gaussian_ode_oracle(grid1d):
     exact = np.exp(P - 0.5 * Q * grid1d.x**2)
 
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
-    [out] = evolve(phi, StepPlan(5e-4), [t_end])
+    [out] = evolve(phi, 5e-4, [t_end])
     err = math.sqrt(float(grid1d.integrate(np.abs(out.values - exact) ** 2).real))
     assert err <= 1e-6
 
@@ -180,9 +174,9 @@ def test_log_floor_insensitivity(grid1d, monkeypatch):
     # sensitivity ~7e-8 sits well below the dt = 1e-3 splitting error
     phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 1e-12)
-    [a] = evolve(phi, StepPlan(1e-3), [1.0])
+    [a] = evolve(phi, 1e-3, [1.0])
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 5e-13)
-    [b] = evolve(phi, StepPlan(1e-3), [1.0])
+    [b] = evolve(phi, 1e-3, [1.0])
     assert l2_distance(a, b) <= 2e-7
 
 
@@ -209,7 +203,7 @@ def test_lens_position_norm_stays_bounded(grid1d):
     from nlslab import position_norm_sq
     phi = gaussian_state(grid1d, 1.0, sigma=0.1, model=Model.RESCALED_LENS)
     y0 = position_norm_sq(phi)
-    [final] = evolve(phi, StepPlan(5e-3), [50.0])
+    [final] = evolve(phi, 5e-3, [50.0])
     assert position_norm_sq(final) <= 20.0 * max(y0, 1.0)
 
 
@@ -218,7 +212,7 @@ def test_lens_position_norm_stays_bounded(grid1d):
 def test_evolve_rejects_backward_target(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     with pytest.raises(GridError):
-        evolve(phi, StepPlan(1e-3), [-1.0])
+        evolve(phi, 1e-3, [-1.0])
 
 
 @pytest.mark.parametrize("checkpoints", [(0.0, 0.5), (0.5, 0.2), (0.5, 0.5), (),
@@ -227,22 +221,24 @@ def test_evolve_rejects_backward_target(grid1d):
 def test_evolve_rejects_bad_checkpoints(grid1d, checkpoints):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     with pytest.raises(GridError):
-        evolve(phi, StepPlan(1e-3), checkpoints)
+        evolve(phi, 1e-3, checkpoints)
 
 
-def test_evolve_rejects_nonpositive_dt(grid1d):
-    # a backward StepPlan is valid for one step, but evolve only marches forward
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_evolve_rejects_bad_dt(grid1d, dt):
+    # evolve marches forward on finite steps, on fixed and on lens schedules
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     with pytest.raises(GridError):
-        evolve(phi, StepPlan(-1e-3), [0.01])
+        evolve(phi, dt, [0.01])
     lens = gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)
     with pytest.raises(GridError):
-        evolve(lens, StepPlan(-1e-3), [0.01])
+        evolve(lens, dt, [0.01])
 
 
 def test_evolve_trims_final_step(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
-    [out] = evolve(phi, StepPlan(1e-3), [0.0105])
+    [out] = evolve(phi, 1e-3, [0.0105])
     assert out.time == pytest.approx(0.0105, abs=1e-12)
     assert abs(mass(out) - mass(phi)) <= 1e-11
 
@@ -250,7 +246,7 @@ def test_evolve_trims_final_step(grid1d):
 def test_evolve_row_cadence(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     times = (5e-3, 1e-2, 1.5e-2, 2e-2)
-    states = evolve(phi, StepPlan(1e-3), times)
+    states = evolve(phi, 1e-3, times)
     assert [f.time for f in states] == pytest.approx(times, abs=1e-15)
 
 
@@ -263,15 +259,15 @@ _LENS = (Model.RESCALED_LENS, Model.DIRECT_LENS)
 _STRANG_IDS = [f"{m.value}-strang" for m, _ in _MODELS]
 
 
-def _chained_steps(phi, dt_of, targets, tol):
-    """Reference: one public `step` call per step through the targets.
+def _chained_steps(one_step, phi, dt_of, targets, tol):
+    """Reference: one single-step march per step through the targets.
 
     Returns the state at each target and every state keyed by its time.
     """
     cur, at_targets, states = phi, [], {}
     for target in targets:
         while cur.time < target - tol:
-            cur = step(cur, StepPlan(min(dt_of(cur.time), target - cur.time)))
+            cur = one_step(cur, min(dt_of(cur.time), target - cur.time))
             states[cur.time] = cur
         at_targets.append(cur)
     return at_targets, states
@@ -283,14 +279,14 @@ def _rel_l2(a, b):
 
 @pytest.mark.parametrize("checkpoints", [(), (3e-3, 6e-3, 9e-3)], ids=["trimmed", "observed"])
 @pytest.mark.parametrize("model,sigma", _MODELS, ids=_STRANG_IDS)
-def test_evolve_matches_chained_steps(grid1d, model, sigma, checkpoints):
+def test_evolve_matches_chained_steps(grid1d, one_step, model, sigma, checkpoints):
     # merged Strang half kicks are exact: the fused march equals one
-    # step call per step up to roundoff, at a trimmed final step and at
+    # single-step march per step up to roundoff, at a trimmed final step and at
     # every checkpoint
     t_end = 0.0105
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    seen = evolve(phi, StepPlan(1e-3), [*checkpoints, t_end])
-    (*_, ref), states = _chained_steps(phi, lambda t: 1e-3, [*checkpoints, t_end],
+    seen = evolve(phi, 1e-3, [*checkpoints, t_end])
+    (*_, ref), states = _chained_steps(one_step, phi, lambda t: 1e-3, [*checkpoints, t_end],
                                        1e-12 * max(1.0, t_end))
     out = seen[-1]
     assert out.time == ref.time and _rel_l2(out, ref) <= 1e-12
@@ -300,12 +296,12 @@ def test_evolve_matches_chained_steps(grid1d, model, sigma, checkpoints):
 
 @pytest.mark.parametrize("model,sigma", [m for m in _MODELS if m[0] in _LENS],
                          ids=[m.value for m in _LENS])
-def test_lens_trajectory_matches_chained_steps(grid1d, model, sigma):
+def test_lens_trajectory_matches_chained_steps(grid1d, one_step, model, sigma):
     # growing, trimmed steps: the schedule doubles dt0 by t = 4
     dt0, targets = 0.05, (0.3, 2.55, 4.0)
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    snaps = evolve(phi, StepPlan(dt0), targets)
-    refs, _ = _chained_steps(phi, lambda t: _lens_schedule_dt(t, dt0), targets, 1e-12)
+    snaps = evolve(phi, dt0, targets)
+    refs, _ = _chained_steps(one_step, phi, lambda t: _lens_schedule_dt(t, dt0), targets, 1e-12)
     for f, ref, target in zip(snaps, refs, targets):
         assert f.time == ref.time and f.time == pytest.approx(target)
         assert _rel_l2(f, ref) <= 1e-12
@@ -327,7 +323,7 @@ def test_non_finite_mid_segment_raises_at_step_time(grid1d, monkeypatch, model):
     monkeypatch.setattr(propagators, "nonlinear_phase", poisoned)
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     with pytest.raises(BlowUpError) as err:
-        evolve(phi, StepPlan(1e-3), [0.02])
+        evolve(phi, 1e-3, [0.02])
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
 
 
@@ -339,10 +335,10 @@ def test_checkpoints_equal_chained_evolve(grid1d, model, sigma, dt0, targets):
     # one march through the checkpoints is the chain of single-target
     # evolve calls, bit for bit, on fixed and on growing lens steps
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model)
-    snaps = evolve(phi, StepPlan(dt0), targets)
+    snaps = evolve(phi, dt0, targets)
     cur = phi
     for f, target in zip(snaps, targets):
-        [cur] = evolve(cur, StepPlan(dt0), [target])
+        [cur] = evolve(cur, dt0, [target])
         assert f.time == cur.time and np.array_equal(f.values, cur.values)
     assert len(snaps) == len(targets)
 
@@ -361,7 +357,7 @@ def test_mass_tripwire_one_rule(grid1d, monkeypatch, model):
                         lambda f: seen.append(f.time) or real_mass(f))
     phi = gaussian_state(grid1d, 1.0, sigma=0.3, model=model)
     with pytest.raises(BlowUpError) as err:
-        evolve(phi, StepPlan(1e-3), (5e-3, 1e-2, 0.02))
+        evolve(phi, 1e-3, (5e-3, 1e-2, 0.02))
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
     assert seen == [0.0, err.value.time]
 
@@ -397,7 +393,7 @@ def test_rotation_non_finite():
 @pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
 def test_march_never_writes_its_input(grid1d, model, sigma):
     # the march transforms one buffer in place; it must be its own copy, so a
-    # writable input stack and a field passed to step are left bitwise as they were
+    # writable input stack and a field passed to evolve are left bitwise as they were
     phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model, phase_slope=0.4)
     stack = np.stack([phi.values, 0.5 * phi.values])
     before = stack.copy()
@@ -406,7 +402,7 @@ def test_march_never_writes_its_input(grid1d, model, sigma):
     assert not np.shares_memory(marched, stack)
     assert np.array_equal(stack, before)
     values = phi.values.copy()
-    out = step(phi, StepPlan(1e-2))
+    [out] = evolve(phi, 1e-2, [1e-2])
     assert np.array_equal(phi.values, values)
     assert not np.array_equal(out.values, values)
 
@@ -478,11 +474,11 @@ def _batch(grid, model, sigmas):
     return [gaussian_state(grid, 1.0, sigma=s, model=model) for s in sigmas]
 
 
-def _assert_batch_equals_single_runs(fields, plan, times):
-    runs = evolve(fields, plan, times)
+def _assert_batch_equals_single_runs(fields, dt, times):
+    runs = evolve(fields, dt, times)
     assert isinstance(runs, tuple) and len(runs) == len(fields)
     for phi, run in zip(fields, runs):
-        single = evolve(phi, plan, times)
+        single = evolve(phi, dt, times)
         assert len(run) == len(single) == len(times)
         for batch_snap, f in zip(run, single):
             assert batch_snap.time == f.time
@@ -495,7 +491,7 @@ def _assert_batch_equals_single_runs(fields, plan, times):
 def test_batched_evolve_equals_per_field_evolve(grid1d, model):
     # one stacked march over three sigmas is the three single marches, bit for bit
     fields = _batch(grid1d, model, _BATCH_SIGMAS[model])
-    _assert_batch_equals_single_runs(fields, StepPlan(1e-3), (3e-3, 6e-3, 9e-3, 0.0105))
+    _assert_batch_equals_single_runs(fields, 1e-3, (3e-3, 6e-3, 9e-3, 0.0105))
 
 
 def test_batched_evolve_one_stack_at_8192_points():
@@ -503,7 +499,7 @@ def test_batched_evolve_one_stack_at_8192_points():
     # still bitwise the single marches
     grid = make_grid(1, 8192, 960.0)
     fields = _batch(grid, Model.DIRECT, (1.5, 1.52, 1.54, 1.58))
-    _assert_batch_equals_single_runs(fields, StepPlan(1e-2), (2e-2, 5e-2))
+    _assert_batch_equals_single_runs(fields, 1e-2, (2e-2, 5e-2))
 
 
 def test_batched_evolve_rejects_mismatched_fields(grid1d):
@@ -512,7 +508,7 @@ def test_batched_evolve_rejects_mismatched_fields(grid1d):
     for bad in ([phi, other_grid], [phi, phi.with_tags(model=Model.RESCALED)],
                 [phi, phi.with_tags(time=0.5)], []):
         with pytest.raises(GridError):
-            evolve(bad, StepPlan(1e-3), [1.0])
+            evolve(bad, 1e-3, [1.0])
 
 
 def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
@@ -523,7 +519,7 @@ def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
                         lambda theta, out, scratch: real(theta, out, scratch) * gain)
     fields = _batch(grid1d, Model.RESCALED, (0.3, 0.4, 0.5))
     with pytest.raises(BlowUpError) as err:
-        evolve(fields, StepPlan(1e-3), (5e-3, 1e-2, 0.02))
+        evolve(fields, 1e-3, (5e-3, 1e-2, 0.02))
     assert err.value.time == pytest.approx(5e-3, abs=1e-15)
 
 
@@ -532,8 +528,8 @@ def test_batched_snapshots_stay_frozen(grid1d):
     # never write into it, so each equals a march that stops at its time
     fields = _batch(grid1d, Model.RESCALED_LENS, _BATCH_SIGMAS[Model.RESCALED_LENS])
     times = (2e-3, 5e-3, 0.01)
-    runs = evolve(fields, StepPlan(1e-3), times)
+    runs = evolve(fields, 1e-3, times)
     for k in range(len(times) - 1):
-        stopped = evolve(fields, StepPlan(1e-3), times[:k + 1])
+        stopped = evolve(fields, 1e-3, times[:k + 1])
         for run, ref in zip(runs, stopped):
             assert np.array_equal(run[k].values, ref[k].values)

@@ -1,7 +1,7 @@
 """Lens-variable densities, Madelung fields, pseudo-energy, and pointwise inequalities.
 
 The Madelung fields and the dispersive bound are oracles for the flow that
-`step` and `evolve` compute, so they live here rather than in the package.
+`evolve` computes, so they live here rather than in the package.
 """
 import math
 from dataclasses import dataclass
@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from nlslab import (Density, EnvelopeState, Grid, Model, PROFILE_DILATION, StepPlan,
+from nlslab import (Density, EnvelopeState, Grid, Model, PROFILE_DILATION,
                     WaveField, cazenave_haraux_gap, density_from_field,
                     direct_gradient_norm_sq, evolve, gaussian_state,
                     gradient_norm_sq, integrate_tau, make_grid, mass, power_ratio,
-                    pseudo_energy, step, w1_1d)
+                    pseudo_energy, w1_1d)
 from nlslab.errors import NormalizationError
 
 
@@ -145,14 +145,14 @@ def test_hydro_plane_phase_current(grid1d):
     assert np.abs(h.current[0] - p * np.abs(phi.values) ** 2 / mass(phi)).max() <= 1e-12
 
 
-def test_continuity_residual_second_order(grid1d):
+def test_continuity_residual_second_order(grid1d, one_step):
     # [DERIVED] d_t rho + tau^{-2} div J = 0 holds to O(dt^2) across one
     # split step (away from the time-symmetric t = 0 state)
     phi = _lens_field(grid1d)
-    [v0] = evolve(phi, StepPlan(1e-3), [0.5])
+    [v0] = evolve(phi, 1e-3, [0.5])
     res = []
     for dt in (2e-3, 1e-3, 5e-4):
-        v1 = step(v0, StepPlan(dt))
+        v1 = one_step(v0, dt)
         tau_mid = integrate_tau(0.1, 1, [0.5 + dt / 2.0])[0].tau
         res.append(continuity_residual(hydro(v0), hydro(v1), tau_mid))
     for a, b in zip(res, res[1:]):
@@ -219,7 +219,7 @@ def test_dispersive_bound_short_run():
     g = make_grid(1, 512, 30.0)
     u = gaussian_state(g, 1.0, sigma=0.8, model=Model.DIRECT_LENS)
     times = [0.5, 1.0, 2.0, 4.0, 8.0]
-    fields = evolve(u, StepPlan(2e-3), times)
+    fields = evolve(u, 2e-3, times)
     # ||grad v(t)|| / <t>^{1 - d sigma / 2} and the terms <t>^{-2} ||J||_{L1}
     # of the current's dyadic partial sums
     weighted, current_terms = [], []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nlslab import (GridError, Model, StepPlan, extract_asymptotic,
+from nlslab import (GridError, Model, extract_asymptotic,
                     free_conjugate, free_flow, gaussian_state,
                     interaction_picture_continuity, l2_distance, make_grid,
                     mass, scattering_map, sigma_norm, strauss_exponent)
@@ -112,7 +112,7 @@ def test_extract_free_trajectory_residuals_vanish(grid1d):
 def test_scattering_zero_datum_trivial(grid1d):
     zero = gaussian_state(grid1d, 1.0, sigma=1.5).with_values(
         np.zeros(grid1d.shape))
-    state, diag = scattering_map(zero, 1.5, StepPlan(1e-2), 4.0)
+    state, diag = scattering_map(zero, 1.5, 1e-2, 4.0)
     assert diag["trivial"] and state.converged and state.residual == 0.0
 
 
@@ -123,7 +123,7 @@ def test_scattering_small_data_near_identity():
     g = make_grid(1, 1024, 160.0)
     eps = 1e-3
     u_minus = gaussian_state(g, 1.0, sigma=1.5, amplitude=eps)
-    u_plus, diag = scattering_map(u_minus, 1.5, StepPlan(1e-2), 4.0)
+    u_plus, diag = scattering_map(u_minus, 1.5, 1e-2, 4.0)
     assert u_plus.converged
     assert diag["defects"][-1] <= 1e-10
     rel = l2_distance(u_plus.state, u_minus.with_tags(time=0.0)) / eps
@@ -136,7 +136,7 @@ def test_interaction_picture_continuity_structure():
     g = make_grid(1, 128, 15.0)
     phi = gaussian_state(g, 1.0, sigma=0.8)
     rep = interaction_picture_continuity(
-        phi, 0.8, [0.82, 0.84], StepPlan(4e-3), [0.5, 1.0])
+        phi, 0.8, [0.82, 0.84], 4e-3, [0.5, 1.0])
     assert rep["sigma"] == 0.8
     assert [r["nu"] for r in rep["rows"]] == [0.82, 0.84]
     for row in rep["rows"]:
