@@ -53,11 +53,11 @@ def _cmd_sweep(args) -> int:
     worst = 0
     for v, rec in zip(args.values, records):
         if rec.status != "complete":
-            print(f"{args.axis}={format_value(v)}: ERROR ({rec.stage}) {rec.error}")
+            print(f"{args.axis}={v!r}: ERROR ({rec.stage}) {rec.error}")
             worst = 2
         else:
             ok = rec.passed
-            print(f"{args.axis}={format_value(v)}: {'PASS' if ok else 'FAIL'}")
+            print(f"{args.axis}={v!r}: {'PASS' if ok else 'FAIL'}")
             if not ok:
                 worst = max(worst, 1)
     return worst

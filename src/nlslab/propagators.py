@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import threading
 
 import numpy as np
 
@@ -113,7 +116,7 @@ def rotation(theta: np.ndarray, out: np.ndarray, scratch=(None, None)) -> np.nda
     return out
 
 
-def _march(values: np.ndarray, grid, t: float, dts, coefficients):
+def _march(values: np.ndarray, grid, t: float, dts, coefficients, out=None):
     """Strang-split the stacked rows `values` (rows, *grid.shape) from time t
     through the steps dts; returns (values, t) at the end.
 
@@ -121,10 +124,13 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients):
     half kicks commute, so each pair is applied as one multiplier: two FFTs per
     step for the whole stack, with the full state formed only at the segment
     end.  Each pointwise operation is one pass over the stack.  The march copies
-    values once and transforms that copy in place, so the caller's array is
-    never written.
+    values once, into out (a complex array of values' shape) when it is given,
+    and transforms that copy in place, so the caller's array is never written.
     """
-    values = np.array(values, dtype=np.complex128)
+    if out is None:
+        out = np.empty(np.shape(values), dtype=np.complex128)
+    np.copyto(out, values)
+    values = out
     if not dts:
         return values, t
     phase, schedule = coefficients
@@ -178,6 +184,86 @@ def free_flow(field: WaveField, dt: float) -> WaveField:
     return field.with_values(out, time=field.time + dt)
 
 
+def _blocks(rows: int) -> int:
+    """How many blocks evolve cuts a stack of rows into: one per usable CPU and
+    at most one per row.  1 (one march, no fork) without os.fork or while a
+    second Python thread lives, since a forked child would copy the locks that
+    thread may hold but not the thread."""
+    if rows < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(rows, cpus)
+
+
+def _march_block(values, grid, model, sigmas, segments, outs):
+    """March the stacked rows `values` through the segments, each a (start time,
+    dts) pair, into outs, one array per segment: (the number of segments
+    marched, the exception that stopped the march or None)."""
+    done = 0
+    try:
+        coefficients = _coefficients(model, sigmas, grid)
+        for (t, dts), out in zip(segments, outs):
+            values, _ = _march(values, grid, t, dts, coefficients, out)
+            done += 1
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _forked(march, outs):
+    """Start march(), which fills the arrays outs, in a forked child: (its pid, a
+    pipe that carries its pickled result, then the bytes of each array it
+    filled).  The child leaves through os._exit, whatever happens."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as pipe:
+            done, exc = march()
+            pickle.dump((done, exc), pipe, pickle.HIGHEST_PROTOCOL)
+            for out in outs[:done]:
+                pipe.write(out)
+    finally:
+        os._exit(0)
+
+
+def _received(pipe, outs):
+    """A forked march's result, its arrays read from the pipe into outs."""
+    done, exc = pickle.load(pipe)
+    for out in outs[:done]:
+        if pipe.readinto(out) != out.nbytes:
+            raise EOFError("a forked march ended before it sent its states")
+    return done, exc
+
+
+def _march_blocks(blocks):
+    """Run the blocks, each a (march, outs) pair whose march() fills the arrays
+    outs: the first in this process, every other one in a forked child of its
+    own, which sends them back.  Returns each march's result.  No child
+    outlives the call; if it raises, every child is killed before it is reaped."""
+    children = []
+    try:
+        for march, outs in blocks[1:]:
+            children.append(_forked(march, outs))
+        return [blocks[0][0]()] + [_received(pipe, outs)
+                                   for (_, pipe), (_, outs) in zip(children, blocks[1:])]
+    except BaseException:
+        import signal
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def evolve(fields, dt: float, times):
     """March one field, or a batch of them, through the times, landing exactly
     on each (trimmed last steps) and ending at times[-1].
@@ -190,8 +276,13 @@ def evolve(fields, dt: float, times):
     state lists.  At each of the times, BlowUpError trips if a field's mass
     has drifted by more than MASS_DRIFT_TRIP of its own starting value.  Lens
     models step on _lens_schedule_dt from dt and read their envelope at
-    each step's midpoint; the other models step at dt.  All the fields
-    march as one stack of rows.
+    each step's midpoint; the other models step at dt.
+
+    The rows march in _blocks contiguous blocks, the first in this process and
+    each other one in a forked child; rows never meet in a march, so every
+    state is bitwise the same for any number of blocks.  A block's error is
+    raised at the first of the times at or after it, the earliest first and
+    before that time's tripwire, as one stack would raise it.
     """
     if not 0 < dt < math.inf:
         raise GridError(f"dt must be a finite real > 0, got {dt}")
@@ -209,16 +300,35 @@ def evolve(fields, dt: float, times):
         raise GridError(f"need finite times sorted and after the field time {first.time}, "
                         f"got {targets}")
     mass0 = [mass(f) for f in fields]
-    states = tuple([] for _ in fields)
     lens = _envelope(first.model, first.sigma, grid.dim) is not None
     dt_of = (lambda t: _lens_schedule_dt(t, dt)) if lens else (lambda t: dt)
-    coefficients = _coefficients(first.model, [f.sigma for f in fields], grid)
-    values, t = np.stack([f.values for f in fields]), first.time
+    # the steps depend on the times alone; each segment ends where _march's sums end
+    segments, ends, t = [], [], first.time
     for target in targets:
         dts = list(_step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target))))
-        # the fields returned so far view the old stack, which _march only reads
-        values, t = _march(values, grid, t, dts, coefficients)
-        for state, f, v, m0 in zip(states, fields, values, mass0):
+        segments.append((t, dts))
+        for step in dts:
+            t += step
+        ends.append(t)
+    values, sigmas = np.stack([f.values for f in fields]), [f.sigma for f in fields]
+    # one stack per segment; each block marches into its own rows of them
+    stacks = [np.empty(values.shape, dtype=np.complex128) for _ in targets]
+    n = _blocks(len(fields))
+    cuts = [len(fields) * b // n for b in range(n + 1)]
+    blocks = []
+    for a, b in zip(cuts, cuts[1:]):
+        outs = [stack[a:b] for stack in stacks]
+        blocks.append((functools.partial(_march_block, values[a:b], grid, first.model,
+                                         sigmas[a:b], segments, outs), outs))
+    # the earliest error: by segment, then step time, any error but a blow-up first
+    failed = min(((done, exc.time if isinstance(exc, BlowUpError) else -math.inf, b, exc)
+                  for b, (done, exc) in enumerate(_march_blocks(blocks)) if exc is not None),
+                 default=None)
+    states = tuple([] for _ in fields)
+    for k, t in enumerate(ends):
+        if failed is not None and failed[0] == k:
+            raise failed[-1]
+        for state, f, v, m0 in zip(states, fields, stacks[k], mass0):
             state.append(f.with_values(v, time=t))
             if abs(mass(state[-1]) - m0) > MASS_DRIFT_TRIP * m0:
                 raise BlowUpError(f"mass drift tripwire at t = {t:.6g}", time=t)

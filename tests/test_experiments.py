@@ -396,6 +396,14 @@ def test_cli_sweep_sigma_keeps_the_gaps(tmp_path):
     assert verify(str(tmp_path / "sigma-000"))["mismatches"] == []
 
 
+def test_cli_sweep_labels_each_value_by_its_repr(tmp_path, capsys):
+    # the label is the value's shortest round-trip repr, not the CSV's 17 digits
+    code = cli_main(["sweep", "local-continuity", "--axis", "dt", "--values", "4e-3", "2e-3",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == ["dt=0.004: PASS", "dt=0.002: PASS"]
+
+
 def test_cli_sweep_sigma_below_strauss_exits_2(tmp_path, capsys):
     # the kept gaps put global-interaction-picture's sigmas under the Strauss exponent
     code = cli_main(["sweep", "global-interaction-picture", "--axis", "sigma",

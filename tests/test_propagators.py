@@ -1,5 +1,8 @@
 """Split-step propagator tests against closed-form and ODE oracles."""
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -513,7 +516,9 @@ def test_batched_evolve_rejects_mismatched_fields(grid1d):
 
 def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
     # only the sigma = 0.4 row gains mass; its own tripwire stops the batch
-    # at the first checkpoint
+    # at the first checkpoint.  The gain is a column of the whole stack, so the
+    # rows march as one block (the split is pinned to one march elsewhere)
+    monkeypatch.setattr(propagators, "_blocks", lambda rows: 1)
     real, gain = propagators.rotation, np.array([[1.0], [1.0 + 1e-6], [1.0]])
     monkeypatch.setattr(propagators, "rotation",
                         lambda theta, out, scratch: real(theta, out, scratch) * gain)
@@ -533,3 +538,137 @@ def test_batched_snapshots_stay_frozen(grid1d):
         stopped = evolve(fields, 1e-3, times[:k + 1])
         for run, ref in zip(runs, stopped):
             assert np.array_equal(run[k].values, ref[k].values)
+
+
+# ------------------------------------------------------------- split across processes
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _evolve_in_blocks(monkeypatch, blocks, fields, dt, times):
+    monkeypatch.setattr(propagators, "_blocks", lambda rows: blocks)
+    try:
+        return evolve(fields, dt, times)
+    finally:
+        _assert_no_child_left()
+
+
+# 5 rows in 2 blocks are rows 0-1 and 2-4, so each sigma = 0 row marches in a
+# block of its own kind from its sigma > 0 rows on the log and rescaled-lens models
+_SPLIT_SIGMAS = {Model.DIRECT: (1.0, 0.8, 1.2, 1.5, 0.9), Model.RESCALED: (0.5, 0.3, 0.7, 0.2, 1.0),
+                 Model.LOG: (0.0, 0.0, 0.1, 0.2, 0.05),
+                 Model.RESCALED_LENS: (0.0, 0.0, 0.3, 0.1, 0.01),
+                 Model.DIRECT_LENS: (0.8, 0.6, 1.0, 1.2, 0.7)}
+
+
+@pytest.mark.parametrize("rows", [3, 5])
+@pytest.mark.parametrize("grid", [make_grid(1, 256, 20.0), make_grid(2, 32, 8.0)],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("model", list(_SPLIT_SIGMAS), ids=[m.value for m in _SPLIT_SIGMAS])
+def test_split_is_bitwise_the_single_march(monkeypatch, model, grid, rows):
+    # rows never meet in a march, so 2 or 3 forked blocks give every state of
+    # every row bitwise as one block does, at the same times
+    fields = _batch(grid, model, _SPLIT_SIGMAS[model][:rows])
+    times = (3e-3, 6.5e-3, 0.0105) if model not in _LENS else (0.05, 0.3, 0.55)
+    one = _evolve_in_blocks(monkeypatch, 1, fields, 1e-3, times)
+    for blocks in (2, 3):
+        split = _evolve_in_blocks(monkeypatch, blocks, fields, 1e-3, times)
+        assert len(split) == rows
+        for run, ref in zip(split, one):
+            assert [f.time for f in run] == [f.time for f in ref]
+            for f, g in zip(run, ref):
+                assert np.array_equal(f.values, g.values) and f.sigma == g.sigma
+
+
+def _poisoned_phase(monkeypatch, sigma, call, fault):
+    """At the `call`-th step of each block that holds the row of `sigma`, the
+    phase calls fault(theta, row), row the mask of that row in the block."""
+    real = propagators.nonlinear_phase
+
+    def poisoned(m, sigmas):
+        phase, calls, row = real(m, sigmas), [], sigmas[:, 0] == sigma
+
+        def stepped(rho, out=None):
+            theta = phase(rho, out)
+            calls.append(1)
+            if len(calls) == call and row.any():
+                fault(theta, row)
+            return theta
+        return stepped
+
+    monkeypatch.setattr(propagators, "nonlinear_phase", poisoned)
+
+
+def test_split_raises_a_childs_blow_up_as_one_march(grid1d, monkeypatch):
+    # the sigma = 0.5 row turns non-finite at the fifth step; in 2 or 3 blocks it
+    # marches in a child, whose BlowUpError reaches the caller with the time and
+    # message of the one-block run
+    def nan(theta, row):
+        theta[row] = np.nan
+    _poisoned_phase(monkeypatch, 0.5, 5, nan)
+    fields = _batch(grid1d, Model.RESCALED, (0.3, 0.4, 0.5))
+    raised = []
+    for blocks in (1, 2, 3):
+        with pytest.raises(BlowUpError) as err:
+            _evolve_in_blocks(monkeypatch, blocks, fields, 1e-3, (2e-3, 0.01, 0.02))
+        raised.append((err.value.time, str(err.value)))
+    assert raised[0][0] == pytest.approx(5e-3, abs=1e-15)
+    assert raised[1:] == raised[:1] * 2
+
+
+def test_split_raises_a_childs_other_error_with_its_type(grid1d, monkeypatch):
+    parent = os.getpid()
+
+    def fail(theta, row):
+        raise ZeroDivisionError(f"raised in process {os.getpid()}")
+    _poisoned_phase(monkeypatch, 0.5, 3, fail)
+    fields = _batch(grid1d, Model.DIRECT, (1.0, 0.8, 0.5))
+    with pytest.raises(ZeroDivisionError) as err:
+        _evolve_in_blocks(monkeypatch, 2, fields, 1e-3, (2e-3, 0.01))
+    assert str(err.value) != f"raised in process {parent}"
+
+
+class _Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which no march catches."""
+
+
+def test_split_kills_its_children_when_interrupted(grid1d, monkeypatch):
+    # this process's block is interrupted while the child's block stalls: evolve
+    # unwinds at once, and the child is killed and reaped, not waited for
+    def interrupt(theta, row):
+        raise _Interrupt
+
+    def stall(theta, row):
+        time.sleep(60)
+    _poisoned_phase(monkeypatch, 1.0, 2, interrupt)
+    _poisoned_phase(monkeypatch, 0.5, 2, stall)
+    fields = _batch(grid1d, Model.DIRECT, (1.0, 0.8, 0.5))
+    start = time.monotonic()
+    with pytest.raises(_Interrupt):
+        _evolve_in_blocks(monkeypatch, 2, fields, 1e-3, (2e-3, 0.01))
+    assert time.monotonic() - start < 30
+
+
+def test_blocks_one_per_cpu_and_row(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [propagators._blocks(rows) for rows in (1, 2, 4)] == [1, 2, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert propagators._blocks(4) == 1
+
+
+def test_blocks_one_without_fork_or_with_a_second_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert propagators._blocks(4) == 2
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        assert propagators._blocks(4) == 1
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert propagators._blocks(4) == 1
