@@ -507,11 +507,10 @@ def _analyze_uniform_w1(cfg: ExperimentConfig, out_dir: str):
 
 def _run_log_limit_local(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
-    phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.LOG)
+    phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.RESCALED)
     times = cfg.times()
-    ref = evolve(phi0, cfg.dt, times)
-    runs = evolve([phi0.with_tags(sigma=s, model=Model.RESCALED) for s in cfg.sigmas],
-                  cfg.dt, times)
+    # the log flow is the sigma = 0 row of the rescaled stack
+    ref, *runs = evolve([phi0, *(phi0.with_tags(sigma=s) for s in cfg.sigmas)], cfg.dt, times)
     rows = []
     for s, run in zip(cfg.sigmas, runs):
         sup = 0.0
@@ -769,9 +768,10 @@ def verify(out_dir: str) -> dict:
         # only a changed artifact (its hash says which) should fail to parse
         raise VerificationError(f"malformed artifact {', '.join(tampered) or '(none changed)'} "
                                 f"in {out_dir}: {type(exc).__name__}: {exc}") from None
+    # a check on one side only is a mismatch too: a stored verdict nothing re-derives
     stored = {v["check"]: v["passed"] for v in record.verdicts}
-    mismatches = [v["check"] for v in verdicts
-                  if stored.get(v["check"]) != v["passed"]]
+    fresh = {v["check"]: v["passed"] for v in verdicts}
+    mismatches = [c for c in {**fresh, **stored} if stored.get(c) != fresh.get(c)]
     ok = not tampered and not mismatches and all(v["passed"] for v in verdicts)
     return {"ok": ok, "status": record.status, "verdicts": verdicts,
             "tampered": tampered, "mismatches": mismatches}

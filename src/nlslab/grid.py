@@ -19,8 +19,7 @@ class Model(Enum):
     """Which evolution equation a field belongs to."""
 
     DIRECT = "direct"                  # i u_t + (1/2) Lap u = |u|^{2 sigma} u
-    RESCALED = "rescaled"              # nonlinearity (|u|^{2 sigma} - 1) u / sigma
-    LOG = "log"                        # nonlinearity u ln|u|^2
+    RESCALED = "rescaled"              # (|u|^{2 sigma} - 1) u / sigma; u ln|u|^2 at sigma = 0
     RESCALED_LENS = "rescaled-lens"    # rescaled family in lens variables (tau_sigma envelope)
     DIRECT_LENS = "direct-lens"        # direct equation in lens variables (sqrt(1+t^2) envelope)
 
@@ -268,7 +267,7 @@ def nonlinear_phase(model: Model, sigma):
             return out
         return direct
     zero = per_row == 0.0   # rescaled family degenerates to the log branch at sigma = 0
-    if model is Model.LOG or zero.all():
+    if zero.all():
         return _log_phase
     if not zero.any():
         return lambda rho, out=None: power_ratio(rho, column, out)
@@ -291,9 +290,8 @@ def _potential_density(rho: np.ndarray, sigma: float, model: Model) -> np.ndarra
     """Potential-energy integrand G(rho), G(0) = 0, with G' the phase V (unregularised)."""
     if model is Model.DIRECT or model is Model.DIRECT_LENS:
         return rho ** (sigma + 1.0) / (sigma + 1.0)
-    # rescaled family, log at s = 0: (rho^{s+1} - (s+1) rho) / (s (s+1)), no 1/s cancellation
-    s = 0.0 if model is Model.LOG else sigma
-    return rho * (power_ratio(rho, s) - 1.0) / (s + 1.0)
+    # rescaled family, log at sigma = 0: (rho^{s+1} - (s+1) rho) / (s (s+1)), no 1/s cancellation
+    return rho * (power_ratio(rho, sigma) - 1.0) / (sigma + 1.0)
 
 
 def energy(field: WaveField) -> float:

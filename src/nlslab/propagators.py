@@ -1,4 +1,4 @@
-"""Strang split-step propagators for the five model equations.
+"""Strang split-step propagators for the four model equations.
 
 Each step alternates the exact linear flow (a Fourier multiplier) with
 the exact nonlinear flow (a pointwise phase rotation, since the local
@@ -36,10 +36,10 @@ def _coefficients(model: Model, sigmas, grid):
     models freeze them at the envelope's tau at each step midpoint; the
     envelope is read once per row for all the steps.
     """
-    for s in sigmas if model in (Model.DIRECT, Model.RESCALED) else ():
+    for s in sigmas if model is Model.DIRECT else ():
         if not s > 0:
-            raise GridError(f"{model.value} model needs sigma > 0 (sigma = 0 is the log "
-                            f"model), got {s}")
+            raise GridError(f"direct model needs sigma > 0 (the log flow is the rescaled "
+                            f"model at sigma = 0), got {s}")
     column = (len(sigmas),) + (1,) * grid.dim
     sigma_rows = np.reshape(np.array(sigmas, dtype=float), column)
     phase = nonlinear_phase(model, np.broadcast_to(sigma_rows, column[:1] + grid.shape).copy())

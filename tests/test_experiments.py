@@ -255,6 +255,24 @@ def test_cli_run_and_verify(tmp_path, capsys):
     assert "TAMPERED" in capsys.readouterr().out
 
 
+def test_cli_verify_flags_a_stored_verdict_it_does_not_rederive(tmp_path, capsys):
+    # a failing verdict added to record.json makes the run fail; verify must say
+    # so, though no CSV re-derives that check
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_small_local_config().to_json())
+    out = tmp_path / "run"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    record = json.loads((out / "record.json").read_text())
+    record["verdicts"].append({"check": "local/made-up", "passed": False})
+    (out / "record.json").write_text(json.dumps(record))
+    assert not RunRecord.load(str(out / "record.json")).passed
+    capsys.readouterr()
+    assert cli_main(["verify", "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("MISMATCH")] == [
+        "MISMATCH  local/made-up: stored verdict differs from recomputation"]
+
+
 def test_cli_config_name_mismatch(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_small_local_config().to_json())

@@ -89,18 +89,25 @@ def test_constant_modulus_phase_rotation(grid1d):
 def test_strang_time_reversible(grid1d, one_step):
     # a backward step undoes a forward one in every model: the lens
     # coefficients of both are frozen at the same midpoint t = 0.505
-    for model, sigma in _MODELS:
+    for model, sigma in _MODELS.values():
         phi = gaussian_state(grid1d, 1.0, sigma=sigma, model=model).with_tags(time=0.5)
         back = one_step(one_step(phi, 1e-2), -1e-2)
         assert l2_distance(back, phi) <= 1e-13, model
 
 
 def test_step_model_tag_enforcement(grid1d):
-    # sigma = 0 is the log model; the power-law models reject it
+    # the direct model has no sigma = 0 member; the rescaled one's is the log flow
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
-    for model in (Model.DIRECT, Model.RESCALED):
-        with pytest.raises(GridError):
-            evolve(phi.with_tags(model=model, sigma=0.0), 1e-3, [1e-3])
+    with pytest.raises(GridError):
+        evolve(phi.with_tags(model=Model.DIRECT, sigma=0.0), 1e-3, [1e-3])
+
+
+def test_log_flow_is_the_rescaled_sigma_zero_row(grid1d):
+    # a sigma = 0 rescaled field evolves, alone and in a stack with sigma > 0
+    # rows, and each row of the stack is bitwise its own march
+    phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.RESCALED)
+    fields = [phi, phi.with_tags(sigma=0.3), phi, phi.with_tags(sigma=0.05)]
+    _assert_batch_equals_single_runs(fields, 1e-3, (2e-3, 5e-3))
 
 
 # ------------------------------------------------------------- convergence
@@ -134,17 +141,17 @@ def test_gauge_equivalence_direct_rescaled(grid1d):
 
 
 def test_rescaled_approaches_log_linearly_in_sigma(grid1d):
-    phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
+    phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.RESCALED)
     dt = 1e-3
     [ref] = evolve(phi, dt, [dt])
     diffs = []
     for s in (1e-3, 1e-4):
-        [out] = evolve(phi.with_tags(sigma=s, model=Model.RESCALED), dt, [dt])
-        diffs.append(l2_distance(out, ref.with_tags(sigma=s, model=Model.RESCALED)))
+        [out] = evolve(phi.with_tags(sigma=s), dt, [dt])
+        diffs.append(l2_distance(out, ref))
     assert 8.0 <= diffs[0] / diffs[1] <= 12.0
 
 
-# ------------------------------------------------------------- log model
+# ------------------------------------------------------------- log flow
 
 def test_log_model_matches_gaussian_ode_oracle(grid1d):
     # [DERIVED] exact Gaussian reduction of the logarithmic flow:
@@ -165,7 +172,7 @@ def test_log_model_matches_gaussian_ode_oracle(grid1d):
     Q = sol.y[2][-1] + 1j * sol.y[3][-1]
     exact = np.exp(P - 0.5 * Q * grid1d.x**2)
 
-    phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
+    phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.RESCALED)
     [out] = evolve(phi, 5e-4, [t_end])
     err = math.sqrt(float(grid1d.integrate(np.abs(out.values - exact) ** 2).real))
     assert err <= 1e-6
@@ -175,7 +182,7 @@ def test_log_floor_insensitivity(grid1d, monkeypatch):
     # [DERIVED] halving eps_reg perturbs the t = 1 state only through cells
     # with rho at the floor scale (amplitude ~ sqrt(eps)); the measured
     # sensitivity ~7e-8 sits well below the dt = 1e-3 splitting error
-    phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.LOG)
+    phi = gaussian_state(grid1d, 1.0, sigma=0.0, model=Model.RESCALED)
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 1e-12)
     [a] = evolve(phi, 1e-3, [1.0])
     monkeypatch.setattr(grid_module, "LOG_REGULARISATION", 5e-13)
@@ -255,11 +262,13 @@ def test_evolve_row_cadence(grid1d):
 
 # ------------------------------------------------------------- fused core
 
-_MODELS = ((Model.DIRECT, 1.0), (Model.RESCALED, 0.5), (Model.LOG, 0.0),
-           (Model.RESCALED_LENS, 0.3), (Model.DIRECT_LENS, 0.8))
+# the log flow is the rescaled model's sigma = 0 row
+_MODELS = {"direct": (Model.DIRECT, 1.0), "rescaled": (Model.RESCALED, 0.5),
+           "log": (Model.RESCALED, 0.0), "rescaled-lens": (Model.RESCALED_LENS, 0.3),
+           "direct-lens": (Model.DIRECT_LENS, 0.8)}
 _LENS = (Model.RESCALED_LENS, Model.DIRECT_LENS)
 # every march is Strang; the ids keep the scheme's name
-_STRANG_IDS = [f"{m.value}-strang" for m, _ in _MODELS]
+_STRANG_IDS = [f"{label}-strang" for label in _MODELS]
 
 
 def _chained_steps(one_step, phi, dt_of, targets, tol):
@@ -281,7 +290,7 @@ def _rel_l2(a, b):
 
 
 @pytest.mark.parametrize("checkpoints", [(), (3e-3, 6e-3, 9e-3)], ids=["trimmed", "observed"])
-@pytest.mark.parametrize("model,sigma", _MODELS, ids=_STRANG_IDS)
+@pytest.mark.parametrize("model,sigma", _MODELS.values(), ids=_STRANG_IDS)
 def test_evolve_matches_chained_steps(grid1d, one_step, model, sigma, checkpoints):
     # merged Strang half kicks are exact: the fused march equals one
     # single-step march per step up to roundoff, at a trimmed final step and at
@@ -297,7 +306,7 @@ def test_evolve_matches_chained_steps(grid1d, one_step, model, sigma, checkpoint
         assert _rel_l2(f, states[f.time]) <= 1e-12
 
 
-@pytest.mark.parametrize("model,sigma", [m for m in _MODELS if m[0] in _LENS],
+@pytest.mark.parametrize("model,sigma", [m for m in _MODELS.values() if m[0] in _LENS],
                          ids=[m.value for m in _LENS])
 def test_lens_trajectory_matches_chained_steps(grid1d, one_step, model, sigma):
     # growing, trimmed steps: the schedule doubles dt0 by t = 4
@@ -393,7 +402,7 @@ def test_rotation_non_finite():
     assert not np.isfinite(e).any()
 
 
-@pytest.mark.parametrize("model,sigma", _MODELS, ids=[m.value for m, _ in _MODELS])
+@pytest.mark.parametrize("model,sigma", _MODELS.values(), ids=list(_MODELS))
 def test_march_never_writes_its_input(grid1d, model, sigma):
     # the march transforms one buffer in place; it must be its own copy, so a
     # writable input stack and a field passed to evolve are left bitwise as they were
@@ -468,9 +477,11 @@ def test_step_allocates_only_the_multiplier_table(grid, model, sigmas):
 
 # ------------------------------------------------------------- batched march
 
-_BATCH_SIGMAS = {Model.DIRECT: (1.0, 0.8, 1.2), Model.RESCALED: (0.5, 0.3, 0.7),
-                 Model.LOG: (0.0, 0.1, 0.2), Model.RESCALED_LENS: (0.3, 0.0, 0.1),
-                 Model.DIRECT_LENS: (0.8, 0.6, 1.0)}
+_BATCH_SIGMAS = {"direct": (Model.DIRECT, (1.0, 0.8, 1.2)),
+                 "rescaled": (Model.RESCALED, (0.5, 0.3, 0.7)),
+                 "log": (Model.RESCALED, (0.0, 0.0, 0.0)),
+                 "rescaled-lens": (Model.RESCALED_LENS, (0.3, 0.0, 0.1)),
+                 "direct-lens": (Model.DIRECT_LENS, (0.8, 0.6, 1.0))}
 
 
 def _batch(grid, model, sigmas):
@@ -489,11 +500,11 @@ def _assert_batch_equals_single_runs(fields, dt, times):
             assert np.array_equal(batch_snap.values, f.values)
 
 
-@pytest.mark.parametrize("model", list(_BATCH_SIGMAS),
-                         ids=[f"{m.value}-strang" for m in _BATCH_SIGMAS])
-def test_batched_evolve_equals_per_field_evolve(grid1d, model):
+@pytest.mark.parametrize("model,sigmas", _BATCH_SIGMAS.values(),
+                         ids=[f"{label}-strang" for label in _BATCH_SIGMAS])
+def test_batched_evolve_equals_per_field_evolve(grid1d, model, sigmas):
     # one stacked march over three sigmas is the three single marches, bit for bit
-    fields = _batch(grid1d, model, _BATCH_SIGMAS[model])
+    fields = _batch(grid1d, model, sigmas)
     _assert_batch_equals_single_runs(fields, 1e-3, (3e-3, 6e-3, 9e-3, 0.0105))
 
 
@@ -531,7 +542,7 @@ def test_batched_mass_tripwire_per_row(grid1d, monkeypatch):
 def test_batched_snapshots_stay_frozen(grid1d):
     # returned fields view the stack of their segment; later segments must
     # never write into it, so each equals a march that stops at its time
-    fields = _batch(grid1d, Model.RESCALED_LENS, _BATCH_SIGMAS[Model.RESCALED_LENS])
+    fields = _batch(grid1d, *_BATCH_SIGMAS["rescaled-lens"])
     times = (2e-3, 5e-3, 0.01)
     runs = evolve(fields, 1e-3, times)
     for k in range(len(times) - 1):
@@ -556,21 +567,23 @@ def _evolve_in_blocks(monkeypatch, blocks, fields, dt, times):
 
 
 # 5 rows in 2 blocks are rows 0-1 and 2-4, so each sigma = 0 row marches in a
-# block of its own kind from its sigma > 0 rows on the log and rescaled-lens models
-_SPLIT_SIGMAS = {Model.DIRECT: (1.0, 0.8, 1.2, 1.5, 0.9), Model.RESCALED: (0.5, 0.3, 0.7, 0.2, 1.0),
-                 Model.LOG: (0.0, 0.0, 0.1, 0.2, 0.05),
-                 Model.RESCALED_LENS: (0.0, 0.0, 0.3, 0.1, 0.01),
-                 Model.DIRECT_LENS: (0.8, 0.6, 1.0, 1.2, 0.7)}
+# block of its own kind from its sigma > 0 rows on the rescaled and rescaled-lens
+# models; the log rows are all sigma = 0
+_SPLIT_SIGMAS = {"direct": (Model.DIRECT, (1.0, 0.8, 1.2, 1.5, 0.9)),
+                 "rescaled": (Model.RESCALED, (0.0, 0.0, 0.5, 0.3, 0.7)),
+                 "log": (Model.RESCALED, (0.0, 0.0, 0.0, 0.0, 0.0)),
+                 "rescaled-lens": (Model.RESCALED_LENS, (0.0, 0.0, 0.3, 0.1, 0.01)),
+                 "direct-lens": (Model.DIRECT_LENS, (0.8, 0.6, 1.0, 1.2, 0.7))}
 
 
 @pytest.mark.parametrize("rows", [3, 5])
 @pytest.mark.parametrize("grid", [make_grid(1, 256, 20.0), make_grid(2, 32, 8.0)],
                          ids=["1d", "2d"])
-@pytest.mark.parametrize("model", list(_SPLIT_SIGMAS), ids=[m.value for m in _SPLIT_SIGMAS])
-def test_split_is_bitwise_the_single_march(monkeypatch, model, grid, rows):
+@pytest.mark.parametrize("model,sigmas", _SPLIT_SIGMAS.values(), ids=list(_SPLIT_SIGMAS))
+def test_split_is_bitwise_the_single_march(monkeypatch, model, sigmas, grid, rows):
     # rows never meet in a march, so 2 or 3 forked blocks give every state of
     # every row bitwise as one block does, at the same times
-    fields = _batch(grid, model, _SPLIT_SIGMAS[model][:rows])
+    fields = _batch(grid, model, sigmas[:rows])
     times = (3e-3, 6.5e-3, 0.0105) if model not in _LENS else (0.05, 0.3, 0.55)
     one = _evolve_in_blocks(monkeypatch, 1, fields, 1e-3, times)
     for blocks in (2, 3):
