@@ -240,6 +240,14 @@ class RunRecord:
                 record = cls(**json.load(fh))
         except (ValueError, TypeError) as exc:  # bad JSON or fields
             raise VerificationError(f"malformed record {path}: {exc}") from exc
+        if not (isinstance(record.verdicts, list)
+                and all(isinstance(v, dict) and isinstance(v.get("check"), str)
+                        and isinstance(v.get("passed"), bool) for v in record.verdicts)
+                and all(isinstance(d, dict) and all(isinstance(x, str) for x in (*d, *d.values()))
+                        for d in (record.csv_paths, record.csv_hashes))):
+            raise VerificationError(f"malformed record {path}: verdicts must be a list of "
+                                    f"{{check: str, passed: bool}} dicts and csv_paths and "
+                                    f"csv_hashes dicts of str")
         if set(record.csv_paths) != set(record.csv_hashes):
             raise VerificationError(f"malformed record {path}: csv_paths and csv_hashes "
                                     f"name different files")

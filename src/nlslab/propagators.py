@@ -18,10 +18,12 @@ import numpy as np
 
 from .envelope import TauEnvelope, chevron_taus
 from .errors import BlowUpError, EnvelopeError, GridError
-from .grid import Model, WaveField, mass, nonlinear_phase
+from .grid import Model, WaveField, mass, nonlinear_phase, rotation
 
 MASS_DRIFT_TRIP = 1e-8
 LENS_DT_CAP = 0.25
+# the kinetic tables a march holds at once: two of a 2 x 2048 stack
+_WINDOW_BYTES = 128 * 1024
 
 
 def _coefficients(model: Model, sigmas, grid):
@@ -92,30 +94,6 @@ def _step_sizes(t: float, t_end: float, dt_of, tol: float):
         t += dt
 
 
-def rotation(theta: np.ndarray, out: np.ndarray, scratch=(None, None)) -> np.ndarray:
-    """e^{-i theta} for a real theta into the complex array out, from t = tan(theta/2)
-    alone: cos theta = 1 - 2 t^2/(1 + t^2) and sin theta = 2 t/(1 + t^2).  theta is
-    overwritten, and so is scratch, two real arrays of theta's shape that take
-    t^2 and 1 + t^2 (without them, these are new arrays).
-
-    numpy 2.4 takes a vectorised path for float64 tan and the scalar libm for cos
-    and sin (about 10 against 30-50 us for 2,560 values on a Xeon).  Written
-    as 1 minus a small term, the real part keeps the rounding of cos at the small
-    angles of a step.  The parts are written into the real and imaginary parts of
-    out, since a real-to-complex cast would allocate a complex buffer of up to
-    128 KiB per call."""
-    t = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
-    sq = np.multiply(t, t, out=scratch[0])
-    w = np.add(sq, 1.0, out=scratch[1])
-    np.divide(-2.0, w, out=w)   # -2/(1 + t^2)
-    t *= w                      # -sin theta
-    sq *= w
-    sq += 1.0                   # cos theta
-    np.copyto(out.real, sq)
-    np.copyto(out.imag, t)
-    return out
-
-
 def _march(values: np.ndarray, grid, t: float, dts, coefficients, out=None):
     """Strang-split the stacked rows `values` (rows, *grid.shape) from time t
     through the steps dts; returns (values, t) at the end.
@@ -139,27 +117,40 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients, out=None):
         times.append(times[-1] + dt)
     kappa, nl, harm = schedule(times[:-1], dts)
     half = 0.5 * kappa * np.array(dts)[:, None]
-    weights = half.copy()
-    weights[1:] += half[:-1]
-    # a fixed dt reuses two tables, the full and the half step's; lens weights never repeat
-    multiplier = functools.lru_cache(maxsize=2)(grid.kinetic_multiplier)
+    kicks = np.concatenate([half[:1], half[1:] + half[:-1], half[-1:]])
+    # one table per run of equal consecutive kicks (a fixed dt has three: half,
+    # full and closing half step; a lens march one per kick).  The first kick of
+    # every per_window-th run builds the tables of a window of runs, into buffers
+    # held for the whole march
+    starts = np.ones(len(kicks), dtype=bool)
+    starts[1:] = (kicks[1:] != kicks[:-1]).any(axis=1)
+    runs, run_of = kicks[starts], (np.cumsum(starts) - 1).tolist()
+    per_window = max(1, _WINDOW_BYTES // values.nbytes)
+    builds = set(np.flatnonzero(starts)[::per_window].tolist())
+    tables = np.empty((min(per_window, len(runs)),) + values.shape, dtype=np.complex128)
+    folded = np.empty((len(tables) * len(values), grid._k_sq_folded[0].size),
+                      dtype=np.complex128)
 
     # buffers reused by every step: rho, V and the lens confinement, which with rho
     # is also rotation's scratch.  The lens coefficients are copied to full rows
     # before they multiply, since numpy buffers a broadcast operand of a stack of
-    # fewer than 8,192 points.  A step allocates no array but, on lens runs, its
-    # multiplier table
+    # fewer than 8,192 points.  A step allocates no array
     rho, potential, confinement = np.empty((3,) + values.shape)
     spin = np.empty_like(values)
     radius_sq = None if nl is None else np.broadcast_to(grid.radius_sq, values.shape).copy()
 
-    def kick(ws):
+    def kick(k):
         grid.fft(values, out=values)
-        np.multiply(values, multiplier(tuple(ws.tolist())), out=values)
+        run = run_of[k]
+        if k in builds:
+            window = runs[run:run + per_window]
+            grid.kinetic_multiplier(window.ravel(), tables[:len(window)].reshape(
+                (-1,) + values.shape[1:]), folded)
+        np.multiply(values, tables[run % per_window], out=values)
         grid.ifft(values, out=values)
 
     for k, dt in enumerate(dts):
-        kick(weights[k])
+        kick(k)
         np.abs(values, out=rho)
         rho **= 2
         theta = phase(rho, potential)
@@ -173,7 +164,7 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients, out=None):
         values *= rotation(theta, spin, (rho, confinement))
         if not np.isfinite(values.sum()):
             raise BlowUpError("NaN/Inf after step", time=times[k + 1])
-    kick(half[-1])
+    kick(len(dts))
     return values, times[-1]
 
 

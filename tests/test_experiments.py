@@ -273,6 +273,24 @@ def test_cli_verify_flags_a_stored_verdict_it_does_not_rederive(tmp_path, capsys
         "MISMATCH  local/made-up: stored verdict differs from recomputation"]
 
 
+def test_cli_verify_misshapen_record_exits_2(tmp_path, capsys):
+    # a record whose verdicts or CSV maps have the wrong shape is malformed:
+    # exit 2 with one line and no traceback, as for any malformed record
+    out = tmp_path / "run"
+    assert run(_small_local_config(), str(out)).passed
+    good = json.loads((out / "record.json").read_text())
+    edits = {"verdict-without-check": {"verdicts": good["verdicts"] + [{"passed": False}]},
+             "verdicts-a-string": {"verdicts": "x"},
+             "csv-paths-a-number": {"csv_paths": 5}}
+    for label, edit in edits.items():
+        (out / "record.json").write_text(json.dumps({**good, **edit}))
+        capsys.readouterr()
+        assert cli_main(["verify", "--out", str(out)]) == 2, label
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: malformed record") and err.count("\n") == 1, label
+        assert "Traceback" not in err, label
+
+
 def test_cli_config_name_mismatch(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_small_local_config().to_json())

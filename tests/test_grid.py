@@ -10,7 +10,7 @@ from nlslab import (BlowUpError, Density, GridError, Model, NormalizationError,
                     ResolutionError, WaveField, energy,
                     gaussian_state, gradient_norm_sq, l2_distance, make_grid,
                     mass, position_norm_sq)
-from nlslab.grid import _potential_density, nonlinear_phase
+from nlslab.grid import _potential_density, nonlinear_phase, rotation
 
 
 # ------------------------------------------------------------- construction
@@ -247,14 +247,20 @@ def test_stacked_phase_equals_per_row_phase(model, sigmas, dim):
 @pytest.mark.parametrize("grid", [make_grid(1, 64, 7.0), make_grid(2, 32, 5.0)],
                          ids=["1d", "2d"])
 def test_kinetic_multiplier_equals_full_exponential(grid):
-    # exp on the N/2 + 1 values per axis of |k|^2, taken back to the grid, is
-    # the full exp
-    weights = (1e-3, 0.37, 2.5, 0.37)
+    # the kernel on the N/2 + 1 values per axis of |k|^2, taken back to the grid,
+    # is bitwise the kernel on the full |k|^2 grid; the kernel is the full exp to
+    # rotation's bounds (1e-15 absolute, unit modulus to 2e-15) for angles to 1e6
+    weights = (1e-3, 0.37, 2.5, 0.37, 2e6 / grid.k_sq.max())
     table = grid.kinetic_multiplier(weights)
     assert table.shape == (len(weights),) + grid.shape
     for row, w in zip(table, weights):
-        assert np.array_equal(row, np.exp(-0.5j * w * grid.k_sq))
+        assert np.array_equal(row, rotation(grid.k_sq * w * 0.5, np.empty(grid.shape, complex)))
+        assert np.abs(row - np.exp(-0.5j * w * grid.k_sq)).max() <= 1e-15
     assert grid._k_sq_folded[0].size == (grid.n // 2 + 1) ** grid.dim
+    theta = np.linspace(-1e6, 1e6, 400_001)
+    e = rotation(theta.copy(), np.empty(theta.shape, dtype=complex))
+    assert np.abs(e - np.exp(-1j * theta)).max() <= 1e-15
+    assert np.abs(np.abs(e) ** 2 - 1.0).max() <= 2e-15
 
 
 @pytest.mark.parametrize("grid", [make_grid(1, 64, 7.0), make_grid(2, 32, 5.0)],
