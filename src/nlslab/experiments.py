@@ -244,10 +244,13 @@ class RunRecord:
                 and all(isinstance(v, dict) and isinstance(v.get("check"), str)
                         and isinstance(v.get("passed"), bool) for v in record.verdicts)
                 and all(isinstance(d, dict) and all(isinstance(x, str) for x in (*d, *d.values()))
-                        for d in (record.csv_paths, record.csv_hashes))):
+                        for d in (record.csv_paths, record.csv_hashes))
+                # run writes bare file names, so a path, "." or ".." is malformed
+                and all(os.path.basename(p) == p not in ("", ".", "..")
+                        for p in record.csv_paths.values())):
             raise VerificationError(f"malformed record {path}: verdicts must be a list of "
                                     f"{{check: str, passed: bool}} dicts and csv_paths and "
-                                    f"csv_hashes dicts of str")
+                                    f"csv_hashes dicts of str, csv_paths of file names")
         if set(record.csv_paths) != set(record.csv_hashes):
             raise VerificationError(f"malformed record {path}: csv_paths and csv_hashes "
                                     f"name different files")
@@ -766,7 +769,7 @@ def verify(out_dir: str) -> dict:
     tampered = []
     for name in record.csv_paths:
         path = os.path.join(out_dir, record.csv_paths[name])
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise VerificationError(f"missing artifact {path}")
         if _file_sha256(path) != record.csv_hashes[name]:
             tampered.append(name)

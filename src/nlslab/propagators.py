@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
 import pickle
 import threading
@@ -17,7 +18,7 @@ import threading
 import numpy as np
 
 from .envelope import TauEnvelope, chevron_taus
-from .errors import BlowUpError, EnvelopeError, GridError
+from .errors import BlowUpError, EnvelopeError, GridError, NlsLabError
 from .grid import Model, WaveField, mass, nonlinear_phase, rotation
 
 MASS_DRIFT_TRIP = 1e-8
@@ -204,10 +205,9 @@ def _march_block(values, grid, model, sigmas, segments, outs):
     return done, None
 
 
-def _forked(march, outs):
-    """Start march(), which fills the arrays outs, in a forked child: (its pid, a
-    pipe that carries its pickled result, then the bytes of each array it
-    filled).  The child leaves through os._exit, whatever happens."""
+def _forked(march):
+    """Start march() in a forked child: (its pid, a pipe that carries its pickled
+    result).  The child leaves through os._exit, whatever happens."""
     read, write = os.pipe()
     pid = os.fork()
     if pid:
@@ -216,34 +216,21 @@ def _forked(march, outs):
     try:
         os.close(read)
         with os.fdopen(write, "wb") as pipe:
-            done, exc = march()
-            pickle.dump((done, exc), pipe, pickle.HIGHEST_PROTOCOL)
-            for out in outs[:done]:
-                pipe.write(out)
+            pickle.dump(march(), pipe, pickle.HIGHEST_PROTOCOL)
     finally:
         os._exit(0)
 
 
-def _received(pipe, outs):
-    """A forked march's result, its arrays read from the pipe into outs."""
-    done, exc = pickle.load(pipe)
-    for out in outs[:done]:
-        if pipe.readinto(out) != out.nbytes:
-            raise EOFError("a forked march ended before it sent its states")
-    return done, exc
-
-
-def _march_blocks(blocks):
-    """Run the blocks, each a (march, outs) pair whose march() fills the arrays
-    outs: the first in this process, every other one in a forked child of its
-    own, which sends them back.  Returns each march's result.  No child
-    outlives the call; if it raises, every child is killed before it is reaped."""
-    children = []
+def _march_blocks(marches):
+    """Run the marches, the first in this process and every other one in a forked
+    child of its own, and return each one's result; a child that ends before it
+    reports has the result (0, NlsLabError).  No child outlives the call; if it
+    raises, every child is killed before it is reaped."""
+    children, statuses = [], []
     try:
-        for march, outs in blocks[1:]:
-            children.append(_forked(march, outs))
-        return [blocks[0][0]()] + [_received(pipe, outs)
-                                   for (_, pipe), (_, outs) in zip(children, blocks[1:])]
+        for march in marches[1:]:
+            children.append(_forked(march))
+        first, reports = marches[0](), [pipe.read() for _, pipe in children]
     except BaseException:
         import signal
         for pid, _ in children:
@@ -252,7 +239,10 @@ def _march_blocks(blocks):
     finally:
         for pid, pipe in children:
             pipe.close()
-            os.waitpid(pid, 0)
+            statuses.append(os.waitpid(pid, 0)[1])
+    return [first] + [pickle.loads(report) if report else (0, NlsLabError(
+        f"evolve's block {b} of {len(marches)} ended before it reported (wait status {status})"))
+        for b, (report, status) in enumerate(zip(reports, statuses), 2)]
 
 
 def evolve(fields, dt: float, times):
@@ -269,11 +259,11 @@ def evolve(fields, dt: float, times):
     models step on _lens_schedule_dt from dt and read their envelope at
     each step's midpoint; the other models step at dt.
 
-    The rows march in _blocks contiguous blocks, the first in this process and
-    each other one in a forked child; rows never meet in a march, so every
-    state is bitwise the same for any number of blocks.  A block's error is
-    raised at the first of the times at or after it, the earliest first and
-    before that time's tripwire, as one stack would raise it.
+    The rows march into shared stacks in _blocks contiguous blocks, the first in
+    this process and each other one in a forked child; rows never meet in a
+    march, so every state is bitwise the same for any number of blocks.  A
+    block's error is raised at the first of the times at or after it, the
+    earliest first and before that time's tripwire, as one stack would raise it.
     """
     if not 0 < dt < math.inf:
         raise GridError(f"dt must be a finite real > 0, got {dt}")
@@ -302,18 +292,16 @@ def evolve(fields, dt: float, times):
             t += step
         ends.append(t)
     values, sigmas = np.stack([f.values for f in fields]), [f.sigma for f in fields]
-    # one stack per segment; each block marches into its own rows of them
-    stacks = [np.empty(values.shape, dtype=np.complex128) for _ in targets]
+    # one stack per segment, in a mapping the forked blocks share; each fills its rows
+    shared = mmap.mmap(-1, len(targets) * values.nbytes)
+    stacks = np.frombuffer(shared, np.complex128).reshape((len(targets),) + values.shape)
     n = _blocks(len(fields))
     cuts = [len(fields) * b // n for b in range(n + 1)]
-    blocks = []
-    for a, b in zip(cuts, cuts[1:]):
-        outs = [stack[a:b] for stack in stacks]
-        blocks.append((functools.partial(_march_block, values[a:b], grid, first.model,
-                                         sigmas[a:b], segments, outs), outs))
+    marches = [functools.partial(_march_block, values[a:b], grid, first.model, sigmas[a:b],
+                                 segments, stacks[:, a:b]) for a, b in zip(cuts, cuts[1:])]
     # the earliest error: by segment, then step time, any error but a blow-up first
     failed = min(((done, exc.time if isinstance(exc, BlowUpError) else -math.inf, b, exc)
-                  for b, (done, exc) in enumerate(_march_blocks(blocks)) if exc is not None),
+                  for b, (done, exc) in enumerate(_march_blocks(marches)) if exc is not None),
                  default=None)
     states = tuple([] for _ in fields)
     for k, t in enumerate(ends):

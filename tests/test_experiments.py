@@ -281,7 +281,9 @@ def test_cli_verify_misshapen_record_exits_2(tmp_path, capsys):
     good = json.loads((out / "record.json").read_text())
     edits = {"verdict-without-check": {"verdicts": good["verdicts"] + [{"passed": False}]},
              "verdicts-a-string": {"verdicts": "x"},
-             "csv-paths-a-number": {"csv_paths": 5}}
+             "csv-paths-a-number": {"csv_paths": 5},
+             "csv-path-a-directory": {"csv_paths": {**good["csv_paths"],
+                                                    next(iter(good["csv_paths"])): "."}}}
     for label, edit in edits.items():
         (out / "record.json").write_text(json.dumps({**good, **edit}))
         capsys.readouterr()
