@@ -451,8 +451,9 @@ class _AllocationProbe:
 def test_step_allocates_only_the_multiplier_table(grid, model, sigmas):
     # beyond the march's own buffers, which hold its kinetic tables too, a step
     # allocates only O(rows) bytes of scalars and transform bookkeeping, on every
-    # model.  A real array of the stack is 20 or 40 KiB here, and a kinetic table
-    # twice that, far above this allowance.
+    # model; its nonlinear substep, from an inverse transform to the next forward
+    # one, allocates at most half that.  A real array of the stack is 20 or 40 KiB
+    # here, and a kinetic table twice that, far above this allowance.
     scalars = 4096 + 256 * len(sigmas)
     stack = np.stack([gaussian_state(grid, 1.0).values] * len(sigmas))
     coefficients = propagators._coefficients(model, sigmas, grid)
