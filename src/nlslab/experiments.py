@@ -157,16 +157,19 @@ def format_value(v) -> str:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    """Write data to path through a temporary file beside it; an OSError (path a
+    directory, a full disk) is a one-line NlsLabError that names the path."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise NlsLabError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_csv(path: str, header, rows) -> str:
@@ -233,7 +236,7 @@ class RunRecord:
 
     @classmethod
     def load(cls, path: str) -> "RunRecord":
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise VerificationError(f"missing record {path}")
         try:
             with open(path) as fh:

@@ -23,6 +23,16 @@ class Model(Enum):
     RESCALED_LENS = "rescaled-lens"    # rescaled family in lens variables (tau_sigma envelope)
     DIRECT_LENS = "direct-lens"        # direct equation in lens variables (sqrt(1+t^2) envelope)
 
+    @property
+    def direct(self) -> bool:
+        """The power nonlinearity |u|^{2 sigma} u, not the rescaled family."""
+        return self in (Model.DIRECT, Model.DIRECT_LENS)
+
+    @property
+    def lens(self) -> bool:
+        """Posed in lens variables under an envelope."""
+        return self in (Model.RESCALED_LENS, Model.DIRECT_LENS)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
@@ -294,41 +304,31 @@ def nonlinear_phase(model: Model, sigma):
     full shape, sigma spares numpy the buffer it takes for a broadcast operand of
     a stack of fewer than 8,192 points."""
     column = np.asarray(sigma, dtype=float)
-    per_row = column.reshape(len(column), -1)[:, 0] if column.ndim else column.ravel()
-    if model is Model.DIRECT or model is Model.DIRECT_LENS:
-        # row by row: power with a float exponent takes numpy's square and sqrt
-        # fast paths, which an array of exponents would not
-        rows = [(..., sigma)] if column.ndim == 0 else list(enumerate(per_row.tolist()))
+    per_row = column.reshape(len(column), -1)[:, 0].tolist() if column.ndim else [float(column)]
+    # one pass per run of adjacent rows, each a view of rho and of out: the direct
+    # family's runs share a sigma, whose float exponent keeps numpy's square and
+    # sqrt paths; the rescaled family's runs share a branch, the log one at sigma = 0
+    direct = model.direct
+    key = per_row if direct else [s == 0.0 for s in per_row]
+    edges = [0, *(r for r in range(1, len(key)) if key[r] != key[r - 1]), len(key)]
+    runs = [(slice(a, b) if column.ndim else ..., per_row[a]) for a, b in zip(edges, edges[1:])]
 
-        def direct(rho, out=None):
-            out = np.empty_like(rho) if out is None else out
-            for row, s in rows:
-                np.power(rho[row], s, out=out[row])
-            return out
-        return direct
-    zero = per_row == 0.0   # rescaled family degenerates to the log branch at sigma = 0
-    if zero.all():
-        return _log_phase
-    if not zero.any():
-        return lambda rho, out=None: power_ratio(rho, column, out)
-    # runs of adjacent rows on the same branch, each a view of rho and of out
-    edges = [0, *(np.flatnonzero(np.diff(zero)) + 1).tolist(), zero.size]
-    runs = [(slice(a, b), None if zero[a] else column[a:b]) for a, b in zip(edges, edges[1:])]
-
-    def mixed(rho, out=None):
+    def phase(rho, out=None):
         out = np.empty_like(rho) if out is None else out
         for rows, s in runs:
-            if s is None:
+            if direct:
+                np.power(rho[rows], s, out=out[rows])
+            elif s == 0.0:
                 _log_phase(rho[rows], out[rows])
             else:
-                power_ratio(rho[rows], s, out[rows])
+                power_ratio(rho[rows], column[rows], out[rows])
         return out
-    return mixed
+    return phase
 
 
 def _potential_density(rho: np.ndarray, sigma: float, model: Model) -> np.ndarray:
     """Potential-energy integrand G(rho), G(0) = 0, with G' the phase V (unregularised)."""
-    if model is Model.DIRECT or model is Model.DIRECT_LENS:
+    if model.direct:
         return rho ** (sigma + 1.0) / (sigma + 1.0)
     # rescaled family, log at sigma = 0: (rho^{s+1} - (s+1) rho) / (s (s+1)), no 1/s cancellation
     return rho * (power_ratio(rho, sigma) - 1.0) / (sigma + 1.0)
@@ -345,10 +345,8 @@ def energy(field: WaveField) -> float:
     rho = np.abs(field.values) ** 2
     kin = 0.5 * gradient_norm_sq(field)
     pot = float(g.integrate(_potential_density(rho, field.sigma, field.model)).real)
-    if field.model is Model.RESCALED_LENS:
-        return kin + 0.25 * position_norm_sq(field) + pot
-    if field.model is Model.DIRECT_LENS:
-        return kin + 0.5 * position_norm_sq(field) + pot
+    if field.model.lens:
+        return kin + (0.5 if field.model.direct else 0.25) * position_norm_sq(field) + pot
     return kin + pot
 
 

@@ -46,9 +46,9 @@ def _coefficients(model: Model, sigmas, grid):
     column = (len(sigmas),) + (1,) * grid.dim
     sigma_rows = np.reshape(np.array(sigmas, dtype=float), column)
     phase = nonlinear_phase(model, np.broadcast_to(sigma_rows, column[:1] + grid.shape).copy())
-    readers = [_envelope(model, s, grid.dim) for s in sigmas]
-    if readers[0] is None:
+    if not model.lens:
         return phase, lambda times, dts: (np.ones((len(dts), len(sigmas))), None, None)
+    readers = [chevron_taus if model.direct else TauEnvelope(s, grid.dim).taus for s in sigmas]
 
     def schedule(times, dts):
         mids = np.array(times) + 0.5 * np.array(dts)
@@ -65,20 +65,11 @@ def _coefficients(model: Model, sigmas, grid):
             kappa.append(1.0 / row_sq)
             nl.append(row_nl)
             # direct-lens: i v_t + Lap v/(2<t>^2) = |y|^2 v/(2<t>^2) + <t>^{-d sigma} |v|^{2s} v
-            harm.append(0.25 * row_nl if model is Model.RESCALED_LENS else 0.5 / row_sq)
+            harm.append(0.5 / row_sq if model.direct else 0.25 * row_nl)
         shape = (len(dts),) + column
         return (np.array(kappa).T, np.array(nl).T.reshape(shape),
                 np.array(harm).T.reshape(shape))
     return phase, schedule
-
-
-def _envelope(model: Model, sigma: float, dim: int):
-    """A lens model's envelope reader, times -> tau array; None for the others."""
-    if model is Model.DIRECT_LENS:
-        return chevron_taus
-    if model is Model.RESCALED_LENS:
-        return TauEnvelope(sigma, dim).taus
-    return None
 
 
 def _lens_schedule_dt(t: float, dt0: float) -> float:
@@ -207,9 +198,15 @@ def _march_block(values, grid, model, sigmas, segments, outs):
 
 def _forked(march):
     """Start march() in a forked child: (its pid, a pipe that carries its pickled
-    result).  The child leaves through os._exit, whatever happens."""
+    result), or None, with the pipe closed, if the fork fails.  The child leaves
+    through os._exit, whatever happens."""
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM)
+        os.close(read)
+        os.close(write)
+        return None
     if pid:
         os.close(write)
         return pid, os.fdopen(read, "rb")
@@ -223,26 +220,29 @@ def _forked(march):
 
 def _march_blocks(marches):
     """Run the marches, the first in this process and every other one in a forked
-    child of its own, and return each one's result; a child that ends before it
-    reports has the result (0, NlsLabError).  No child outlives the call; if it
-    raises, every child is killed before it is reaped."""
-    children, statuses = [], []
+    child of its own, and return each one's result; a march whose fork fails runs
+    in this process too, and a child that ends before it reports has the result
+    (0, NlsLabError).  No child outlives the call; if it raises, every child is
+    killed before it is reaped."""
+    children = [None]  # None: the march runs in this process
     try:
         for march in marches[1:]:
             children.append(_forked(march))
-        first, reports = marches[0](), [pipe.read() for _, pipe in children]
+        results = [march() if child is None else None for march, child in zip(marches, children)]
+        reports = [child and child[1].read() for child in children]
     except BaseException:
         import signal
-        for pid, _ in children:
+        for pid, _ in filter(None, children):
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, pipe in children:
+        for _, pipe in filter(None, children):
             pipe.close()
-            statuses.append(os.waitpid(pid, 0)[1])
-    return [first] + [pickle.loads(report) if report else (0, NlsLabError(
+        statuses = [child and os.waitpid(child[0], 0)[1] for child in children]
+    return [result if child is None else pickle.loads(report) if report else (0, NlsLabError(
         f"evolve's block {b} of {len(marches)} ended before it reported (wait status {status})"))
-        for b, (report, status) in enumerate(zip(reports, statuses), 2)]
+        for b, (result, child, report, status) in enumerate(
+            zip(results, children, reports, statuses), 1)]
 
 
 def evolve(fields, dt: float, times):
@@ -281,8 +281,7 @@ def evolve(fields, dt: float, times):
         raise GridError(f"need finite times sorted and after the field time {first.time}, "
                         f"got {targets}")
     mass0 = [mass(f) for f in fields]
-    lens = _envelope(first.model, first.sigma, grid.dim) is not None
-    dt_of = (lambda t: _lens_schedule_dt(t, dt)) if lens else (lambda t: dt)
+    dt_of = (lambda t: _lens_schedule_dt(t, dt)) if first.model.lens else (lambda t: dt)
     # the steps depend on the times alone; each segment ends where _march's sums end
     segments, ends, t = [], [], first.time
     for target in targets:

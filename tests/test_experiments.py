@@ -302,7 +302,13 @@ def test_cli_config_name_mismatch(tmp_path, capsys):
 
 
 def test_cli_verify_missing_record(tmp_path, capsys):
-    assert cli_main(["verify", "--out", str(tmp_path / "nothing")]) == 2
+    # no record, or a directory where the record should be: exit 2, one line
+    (tmp_path / "dir" / "record.json").mkdir(parents=True)
+    for out in ("nothing", "dir"):
+        capsys.readouterr()
+        assert cli_main(["verify", "--out", str(tmp_path / out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: missing record") and err.count("\n") == 1, out
 
 
 def _config_text(change):
@@ -389,12 +395,20 @@ def test_cli_verify_malformed_record_exits_2(tmp_path, capsys, text):
 
 
 def test_cli_run_out_is_a_file_exits_2(tmp_path, capsys):
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    assert cli_main(["run", "ode-suite", "--out", str(taken)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("ERROR: cannot create output directory")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    # a file where run makes its directory, or a directory where it writes its
+    # record or a CSV: exit 2 with one line naming the path, no traceback
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "record" / "record.json").mkdir(parents=True)
+    (tmp_path / "csv" / "envelope.csv").mkdir(parents=True)
+    cases = {"taken": "ERROR: cannot create output directory",
+             "record": f"ERROR: cannot write {tmp_path / 'record' / 'record.json'}: ",
+             "csv": f"ERROR (NlsLabError): cannot write {tmp_path / 'csv' / 'envelope.csv'}: "}
+    for out, start in cases.items():
+        capsys.readouterr()
+        assert cli_main(["run", "ode-suite", "--out", str(tmp_path / out)]) == 2, out
+        err = capsys.readouterr().err
+        assert err.startswith(start), out
+        assert err.count("\n") == 1 and "Traceback" not in err, out
 
 
 @pytest.mark.parametrize("edit", [

@@ -199,6 +199,7 @@ def test_grid_2d_integrate():
 
 # the log flow is the rescaled model's sigma = 0 row
 _STACK_SIGMAS = {"direct": (Model.DIRECT, (0.5, 1.0, 2.0, 0.7)),
+                 "direct-runs": (Model.DIRECT, (0.5, 0.5, 2.0, 2.0, 0.7)),
                  "rescaled": (Model.RESCALED, (0.5, 1e-9, 1.0, 0.05)),
                  "log": (Model.RESCALED, (0.0, 0.0)),
                  "rescaled-lens": (Model.RESCALED_LENS, (0.1, 0.0, 0.05, 0.0, 0.01)),
@@ -220,7 +221,8 @@ def test_stacked_phase_equals_per_row_phase(model, sigmas, dim):
     # one call over a column of sigmas is each row's own scalar-sigma call and the
     # written formula, bit for bit: the sigma = 0 rows of a rescaled stack (not
     # adjacent in the lens stack) take the log branch, and the direct rows keep
-    # ** at sigma = 0.5 and 2 (numpy's sqrt and square).  phase(rho, out) writes
+    # ** at sigma = 0.5 and 2 (numpy's sqrt and square), also in one pass over
+    # a run of rows of equal sigma.  phase(rho, out) writes
     # the same V into out, a separate buffer or rho itself, with sigma as a column
     # or at full shape (as the march passes it); each row opens with the vacuum
     rng = np.random.default_rng(9)

@@ -680,6 +680,27 @@ def test_split_raises_one_line_for_a_child_that_dies(grid1d, monkeypatch):
     assert str(err.value) == "evolve's block 2 of 3 ended before it reported (wait status 768)"
 
 
+def test_split_marches_a_block_here_when_its_fork_fails(grid1d, monkeypatch):
+    # with no process to spare, os.fork raises; that block marches in this
+    # process, so the states are bitwise the one-block run's, and the pipe opened
+    # for the child is closed (the open descriptors are the same after the call)
+    fields = _batch(grid1d, Model.RESCALED, (0.0, 0.3, 0.5))
+    times = (2e-3, 0.01)
+    one = _evolve_in_blocks(monkeypatch, 1, fields, 1e-3, times)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    for _ in range(3):
+        split = _evolve_in_blocks(monkeypatch, 2, fields, 1e-3, times)
+        for run, ref in zip(split, one):
+            assert [f.time for f in run] == [f.time for f in ref]
+            assert all(np.array_equal(f.values, g.values) for f, g in zip(run, ref))
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
 class _Interrupt(BaseException):
     """Stands in for KeyboardInterrupt, which no march catches."""
 
