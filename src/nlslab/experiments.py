@@ -18,6 +18,7 @@ import tempfile
 import time as _time
 import traceback
 from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from .metrics import gaussian_gamma, w1_1d
 from .propagators import evolve
 from .rescaling import (PROFILE_DILATION, density_from_field,
                         direct_gradient_norm_sq, pseudo_energy)
-from .scattering import (extract_asymptotic, interaction_picture_continuity, scattering_map,
-                         strauss_exponent)
+from .scattering import (_loglog_slope, extract_asymptotic, interaction_picture_continuity,
+                         scattering_map, strauss_exponent)
 
 # ---------------------------------------------------------------- config
 
@@ -97,53 +98,37 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
-# verdicts that compare checkpoints need two values: sobolev-growth reads the checkpoints
-# from the middle one on, ode-suite doubles t from times[n_times // 2], and
-# scattering-continuity judges convergence over four dyadic cadences
-_MIN_TIMES = {"global-interaction-picture": 2, "scattering-continuity": 4, "uniform-w1": 2,
-              "log-limit-local": 2, "log-limit-global": 2, "gaussian-profile": 2,
-              "sobolev-growth": 3, "ode-suite": 3}
-# these fit or group their runs by the gap |nu - sigmas[0]|, as uniform-w1 groups them
-_GAP_FITS = ("local-continuity", "global-interaction-picture", "uniform-w1")
+class _Experiment(NamedTuple):
+    """One experiment: its runner, analyzer, default config fields and config rules."""
+
+    runner: Callable
+    analyzer: Callable
+    defaults: dict
+    min_times: int = 1      # least n_times; verdicts that compare checkpoints need two
+    gap_fit: bool = False   # fits or groups its runs by the gap |nu - sigmas[0]|
+    rules: tuple = ()       # (rule(cfg), need): "invalid config: <name> <need>" unless rule(cfg)
 
 
 def _validate_experiment(cfg: ExperimentConfig) -> None:
-    """What each experiment's runner and verdicts need of the sigmas and times."""
-    name, sigmas, dim = cfg.name, cfg.sigmas, cfg.dim
-    least = _MIN_TIMES.get(name, 1)
-    if cfg.n_times < least:
-        raise GridError(f"invalid config: {name} needs n_times >= {least}, got {cfg.n_times}")
-    gaps = {round(abs(nu - sigmas[0]), 12) for nu in sigmas[1:]}
-    if name in _GAP_FITS and (len(gaps) < 2 or 0.0 in gaps):
+    """What the config's experiment needs of it, read off the experiment's entry."""
+    name, entry = cfg.name, _EXPERIMENTS[cfg.name]
+    if cfg.n_times < entry.min_times:
+        raise GridError(f"invalid config: {name} needs n_times >= {entry.min_times}, "
+                        f"got {cfg.n_times}")
+    gaps = {round(abs(nu - cfg.sigmas[0]), 12) for nu in cfg.sigmas[1:]}
+    if entry.gap_fit and (len(gaps) < 2 or 0.0 in gaps):
         raise GridError(f"invalid config: {name} needs at least two distinct gaps "
                         f"|nu - sigmas[0]|, all nonzero, got {sorted(gaps)}")
-    if dim != 1 and name in ("uniform-w1", "log-limit-global", "gaussian-profile"):
-        raise GridError(f"invalid config: {name} needs dim = 1 (W1 of 1-D densities)")
-    if name == "global-interaction-picture":
-        s0 = strauss_exponent(dim)
-        if min(sigmas) <= s0:
-            raise GridError(f"invalid config: {name} needs every sigma > {s0:.4f}")
-    elif name in ("uniform-w1", "log-limit-local", "log-limit-global"):
-        if not all(0.0 < s < 1.0 / dim for s in sigmas):
-            raise GridError(f"invalid config: {name} needs sigma in (0, 1/d)")
-    elif name in ("gaussian-profile", "sobolev-growth"):
-        if any(s != 0.0 for s in sigmas):
-            raise GridError(f"invalid config: {name} studies the sigma = 0 flow only")
-        if not cfg.t0 > 1.0:
-            raise GridError(f"invalid config: {name} divides by ln t, so it needs t0 > 1")
-    elif name == "ode-suite":
-        if not all(0.0 <= s for s in sigmas):
-            raise GridError("invalid config: ode-suite needs sigma >= 0")
-        if not cfg.times()[-1] > 1.0:
-            raise GridError("invalid config: ode-suite divides by sqrt(ln t) at its last "
-                            "checkpoint, so it needs t0 * 2^(n_times - 1) > 1")
-    # scattering-continuity deliberately mixes short- and long-range sigmas
+    for rule, need in entry.rules:
+        if not rule(cfg):  # a need may name {strauss}, the Strauss exponent at cfg.dim
+            raise GridError(f"invalid config: {name} "
+                            f"{need.format(strauss=strauss_exponent(cfg.dim))}")
 
 
 def default_config(name: str) -> ExperimentConfig:
     if name not in _EXPERIMENTS:
         raise GridError(f"unknown experiment {name!r}")
-    return ExperimentConfig(name=name, **_EXPERIMENTS[name][2])
+    return ExperimentConfig(name=name, **_EXPERIMENTS[name].defaults)
 
 
 # ---------------------------------------------------------------- artifacts
@@ -266,12 +251,6 @@ class RunRecord:
 
 # ---------------------------------------------------------------- helpers
 
-def _loglog_slope(xs, ys) -> float:
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
 def _verdict(check: str, passed: bool, detail: str) -> dict:
     return {"check": check, "passed": bool(passed), "detail": detail}
 
@@ -279,6 +258,13 @@ def _verdict(check: str, passed: bool, detail: str) -> dict:
 # ---------------------------------------------------------------- runners
 # Each runner returns {csv basename: (header, rows)}; each analyzer maps
 # the written CSVs back to verdicts, touching no solver state.
+
+def _stack(cfg: ExperimentConfig, model: Model, sigmas) -> tuple:
+    """cfg's Gaussian datum under each sigma, one stack marched through cfg.times()."""
+    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
+    phi = gaussian_state(grid, cfg.width, model=model)
+    return evolve([phi.with_tags(sigma=s) for s in sigmas], cfg.dt, cfg.times())
+
 
 def _run_ode_suite(cfg: ExperimentConfig):
     times = cfg.times()
@@ -358,10 +344,7 @@ def _analyze_ode_suite(cfg: ExperimentConfig, out_dir: str):
 
 def _run_local_continuity(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
-    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
-    phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
-    ref, *runs = evolve([phi, *(phi.with_tags(sigma=nu) for nu in nus)],
-                        cfg.dt, cfg.times())
+    ref, *runs = _stack(cfg, Model.DIRECT, cfg.sigmas)
     rows = []
     for nu, run in zip(nus, runs):
         sup = max(l2_distance(a, b) for a, b in zip(run, ref))
@@ -476,12 +459,9 @@ def _analyze_scattering(cfg: ExperimentConfig, out_dir: str):
 
 def _run_uniform_w1(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
-    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     times = cfg.times()
-    starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT_LENS)
-              for s in cfg.sigmas]
     ref, *runs = ([density_from_field(f) for f in run]
-                  for run in evolve(starts, cfg.dt, times))
+                  for run in _stack(cfg, Model.DIRECT_LENS, cfg.sigmas))
     w_rows, sup_rows = [], []
     for nu, run in zip(nus, runs):
         ws = [w1_1d(a, b) for a, b in zip(run, ref)]
@@ -520,15 +500,12 @@ def _analyze_uniform_w1(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_log_limit_local(cfg: ExperimentConfig):
-    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
-    phi0 = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.RESCALED)
-    times = cfg.times()
     # the log flow is the sigma = 0 row of the rescaled stack
-    ref, *runs = evolve([phi0, *(phi0.with_tags(sigma=s) for s in cfg.sigmas)], cfg.dt, times)
+    ref, *runs = _stack(cfg, Model.RESCALED, (0.0, *cfg.sigmas))
     rows = []
     for s, run in zip(cfg.sigmas, runs):
         sup = 0.0
-        for t, a, b in zip(times, run, ref):
+        for t, a, b in zip(cfg.times(), run, ref):
             sup = max(sup, l2_distance(a, b))
             rows.append((s, t, l2_distance(a, b), sup))
     # fit log(sup(T)) = log(C1 sigma) + C0 T per sigma; C0 from the T-slope
@@ -563,17 +540,13 @@ def _analyze_log_limit_local(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_log_limit_global(cfg: ExperimentConfig):
-    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
-    times = cfg.times()
-    starts = [gaussian_state(grid, cfg.width, sigma=s, model=Model.RESCALED_LENS)
-              for s in (0.0, *cfg.sigmas)]
-    log_run, *runs = evolve(starts, cfg.dt, times)
+    log_run, *runs = _stack(cfg, Model.RESCALED_LENS, (0.0, *cfg.sigmas))
     ref = [density_from_field(f) for f in log_run]
     w_rows, sup_rows, pe_rows = [], [], []
     for s, run in zip(cfg.sigmas, runs):
         envelope = TauEnvelope(s, cfg.dim)
         ws = []
-        for f, rho0, t in zip(run, ref, times):
+        for f, rho0, t in zip(run, ref, cfg.times()):
             env = envelope.state(f.time)
             w = w1_1d(density_from_field(f), rho0)
             ws.append(w)
@@ -610,14 +583,12 @@ def _analyze_log_limit_global(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_gaussian_profile(cfg: ExperimentConfig):
-    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
-    phi = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.RESCALED_LENS)
-    gamma = gaussian_gamma(grid)
-    times = cfg.times()
+    # the profile's box check runs before the march
+    gamma = gaussian_gamma(make_grid(cfg.dim, cfg.n, cfg.half_length))
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    run = evolve(phi, cfg.dt, times)
-    for f, t in zip(run, times):
+    (run,) = _stack(cfg, Model.RESCALED_LENS, (0.0,))
+    for f, t in zip(run, cfg.times()):
         w = w1_1d(density_from_field(f), gamma, dilation=PROFILE_DILATION)
         rows.append((t, envelope.state(f.time).tau, w,
                      w * math.sqrt(math.log(t))))
@@ -641,13 +612,10 @@ def _analyze_gaussian_profile(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_sobolev_growth(cfg: ExperimentConfig):
-    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
-    phi = gaussian_state(grid, cfg.width, sigma=0.0, model=Model.RESCALED_LENS)
-    times = cfg.times()
     envelope = TauEnvelope(0.0, cfg.dim)
     rows = []
-    run = evolve(phi, cfg.dt, times)
-    for f, t in zip(run, times):
+    (run,) = _stack(cfg, Model.RESCALED_LENS, (0.0,))
+    for f, t in zip(run, cfg.times()):
         env = envelope.state(f.time)
         # direct-variable gradient norm, evaluated without leaving lens variables
         h1_sq = direct_gradient_norm_sq(f, env)
@@ -664,39 +632,54 @@ def _analyze_sobolev_growth(cfg: ExperimentConfig, out_dir: str):
                      f"h1^2/ln t over the last decades {['%.4g' % r for r in tail]}")]
 
 
-# name -> (runner, analyzer, default config fields), in the order `nlslab list` shows
+_DIM_1 = (lambda cfg: cfg.dim == 1, "needs dim = 1 (W1 of 1-D densities)")
+_LONG_RANGE = (lambda cfg: all(0.0 < s < 1.0 / cfg.dim for s in cfg.sigmas),
+               "needs sigma in (0, 1/d)")
+_LOG_FLOW_ONLY = (lambda cfg: all(s == 0.0 for s in cfg.sigmas), "studies the sigma = 0 flow only")
+_T0_ABOVE_1 = (lambda cfg: cfg.t0 > 1.0, "divides by ln t, so it needs t0 > 1")
+
+# in the order `nlslab list` shows
 _EXPERIMENTS = {
-    "local-continuity": (
+    "local-continuity": _Experiment(
         _run_local_continuity, _analyze_local_continuity,
         dict(sigmas=(0.8, 0.81, 0.82, 0.84), n=256, half_length=20.0, dt=2e-3, width=1.0,
-             t0=0.5, n_times=3)),
-    "global-interaction-picture": (
+             t0=0.5, n_times=3), gap_fit=True),
+    "global-interaction-picture": _Experiment(
         _run_global_interaction, _analyze_global_interaction,
         dict(sigmas=(1.5, 1.54, 1.6, 1.7), n=2048, half_length=160.0, dt=5e-3, t0=2.0,
-             n_times=4)),
-    "scattering-continuity": (
+             n_times=4), min_times=2, gap_fit=True,
+        rules=((lambda cfg: min(cfg.sigmas) > strauss_exponent(cfg.dim),
+                "needs every sigma > {strauss:.4f}"),)),
+    "scattering-continuity": _Experiment(
         _run_scattering, _analyze_scattering,
-        dict(sigmas=(1.5, 0.8), n=2048, half_length=160.0, dt=5e-3, t0=4.0, n_times=4)),
-    "uniform-w1": (
+        dict(sigmas=(1.5, 0.8), n=2048, half_length=160.0, dt=5e-3, t0=4.0, n_times=4),
+        min_times=4),  # four cadences judge convergence; short- and long-range sigmas by design
+    "uniform-w1": _Experiment(
         _run_uniform_w1, _analyze_uniform_w1,
         dict(sigmas=(0.8, 0.76, 0.78, 0.82, 0.84), n=512, half_length=30.0, dt=1e-3, t0=1.0,
-             n_times=11)),
-    "log-limit-local": (
+             n_times=11), min_times=2, gap_fit=True, rules=(_DIM_1, _LONG_RANGE)),
+    "log-limit-local": _Experiment(
         _run_log_limit_local, _analyze_log_limit_local,
-        dict(sigmas=(0.05, 0.02, 0.01), n=256, half_length=20.0, dt=1e-3, t0=1.0, n_times=3)),
-    "log-limit-global": (
+        dict(sigmas=(0.05, 0.02, 0.01), n=256, half_length=20.0, dt=1e-3, t0=1.0, n_times=3),
+        min_times=2, rules=(_LONG_RANGE,)),
+    "log-limit-global": _Experiment(
         _run_log_limit_global, _analyze_log_limit_global,
         dict(sigmas=(0.1, 0.05, 0.02, 0.01), n=512, half_length=30.0, dt=1e-3, t0=1.0,
-             n_times=8)),
-    "ode-suite": (
-        _run_ode_suite, _analyze_ode_suite,
-        dict(sigmas=(0.1, 0.01, 0.001), t0=1.0, n_times=21)),
-    "gaussian-profile": (
+             n_times=8), min_times=2, rules=(_DIM_1, _LONG_RANGE)),
+    "ode-suite": _Experiment(
+        _run_ode_suite, _analyze_ode_suite, dict(sigmas=(0.1, 0.01, 0.001), t0=1.0, n_times=21),
+        min_times=3,  # doubles t from times[n_times // 2] to the last checkpoint
+        rules=((lambda cfg: all(s >= 0.0 for s in cfg.sigmas), "needs sigma >= 0"),
+               (lambda cfg: cfg.times()[-1] > 1.0, "divides by sqrt(ln t) at its last "
+                "checkpoint, so it needs t0 * 2^(n_times - 1) > 1"))),
+    "gaussian-profile": _Experiment(
         _run_gaussian_profile, _analyze_gaussian_profile,
-        dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3, width=3.0, t0=10.0, n_times=11)),
-    "sobolev-growth": (
+        dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3, width=3.0, t0=10.0, n_times=11),
+        min_times=2, rules=(_DIM_1, _LOG_FLOW_ONLY, _T0_ABOVE_1)),
+    "sobolev-growth": _Experiment(
         _run_sobolev_growth, _analyze_sobolev_growth,
-        dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3, width=3.0, t0=10.0, n_times=11)),
+        dict(sigmas=(0.0,), n=512, half_length=30.0, dt=1e-3, width=3.0, t0=10.0, n_times=11),
+        min_times=3, rules=(_LOG_FLOW_ONLY, _T0_ABOVE_1)),  # reads checkpoints from the middle on
 }
 EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
@@ -705,6 +688,16 @@ EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 def _now() -> str:
     return _time.strftime("%Y-%m-%dT%H:%M:%S", _time.gmtime())
+
+
+def _failed(config: ExperimentConfig, started: str, exc: Exception) -> RunRecord:
+    """The record of a run that raised exc: an NlsLabError's one line, or a traceback."""
+    error = str(exc) if isinstance(exc, NlsLabError) else traceback.format_exc()
+    return RunRecord(
+        config=json.loads(config.to_json()), config_hash=config.digest,
+        code_version=__version__, started=started, finished=_now(),
+        status="failed", stage=type(exc).__name__, error=error,
+        csv_paths={}, csv_hashes={}, verdicts=[])
 
 
 def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
@@ -716,12 +709,12 @@ def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
     started = _now()
     record_path = os.path.join(out_dir, "record.json")
     try:
-        runner, analyzer, _ = _EXPERIMENTS[config.name]
-        tables = runner(config)
+        entry = _EXPERIMENTS[config.name]
+        tables = entry.runner(config)
         csv_paths = {}
         for name, (header, rows) in sorted(tables.items()):
             csv_paths[name] = write_csv(os.path.join(out_dir, name), header, rows)
-        verdicts = analyzer(config, out_dir)
+        verdicts = entry.analyzer(config, out_dir)
         record = RunRecord(
             config=json.loads(config.to_json()), config_hash=config.digest,
             code_version=__version__, started=started, finished=_now(),
@@ -730,12 +723,7 @@ def run(config: ExperimentConfig, out_dir: str) -> RunRecord:
             csv_hashes={k: _file_sha256(v) for k, v in csv_paths.items()},
             verdicts=verdicts)
     except Exception as exc:  # any failure replaces an earlier run's record
-        error = str(exc) if isinstance(exc, NlsLabError) else traceback.format_exc()
-        record = RunRecord(
-            config=json.loads(config.to_json()), config_hash=config.digest,
-            code_version=__version__, started=started, finished=_now(),
-            status="failed", stage=type(exc).__name__, error=error,
-            csv_paths={}, csv_hashes={}, verdicts=[])
+        record = _failed(config, started, exc)
     _atomic_write(record_path, record.to_json().encode())
     return record
 
@@ -748,13 +736,20 @@ def sweep(base: ExperimentConfig, axis: str, values, out_dir: str) -> list:
 
     def config(v):
         if axis == "sigma":   # v replaces sigmas[0]; a gap-fitting experiment keeps its gaps
-            gaps = [nu - base.sigmas[0] for nu in base.sigmas] if base.name in _GAP_FITS else [0]
-            return replace(base, sigmas=tuple(v + gap for gap in gaps))
+            kept = base.sigmas if _EXPERIMENTS[base.name].gap_fit else base.sigmas[:1]
+            return replace(base, sigmas=tuple(v + (nu - base.sigmas[0]) for nu in kept))
         return replace(base, **{field_map[axis]: v})
 
     # every config is built, and so validated, before the first run starts
     configs = [config(v) for v in values]
-    return [run(cfg, os.path.join(out_dir, f"{axis}-{i:03d}")) for i, cfg in enumerate(configs)]
+    records = []
+    for i, cfg in enumerate(configs):
+        started = _now()
+        try:
+            records.append(run(cfg, os.path.join(out_dir, f"{axis}-{i:03d}")))
+        except NlsLabError as exc:  # run raises only when it cannot write its output
+            records.append(_failed(cfg, started, exc))
+    return records
 
 
 def verify(out_dir: str) -> dict:
@@ -777,7 +772,7 @@ def verify(out_dir: str) -> dict:
         if _file_sha256(path) != record.csv_hashes[name]:
             tampered.append(name)
     try:
-        verdicts = _EXPERIMENTS[cfg.name][1](cfg, out_dir)
+        verdicts = _EXPERIMENTS[cfg.name].analyzer(cfg, out_dir)
     except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
         # only a changed artifact (its hash says which) should fail to parse
         raise VerificationError(f"malformed artifact {', '.join(tampered) or '(none changed)'} "

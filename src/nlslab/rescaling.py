@@ -16,7 +16,7 @@ import numpy as np
 
 from .envelope import EnvelopeState
 from .errors import NormalizationError
-from .grid import Density, WaveField, mass, power_ratio
+from .grid import Density, WaveField, mass, position_norm_sq, power_ratio
 
 # The universal-profile statement Gamma = exp(-|y|^2)/pi^{d/2} is normalized
 # for the envelope satisfying tau tau'' = 2.  The envelope family used here
@@ -64,7 +64,7 @@ def pseudo_energy(v: WaveField, env: EnvelopeState) -> PseudoEnergy:
     rho = np.abs(v.values) ** 2
     gsq = sum(float(g.integrate(np.abs(c) ** 2).real) for c in g.gradient(v.values))
     kinetic = 0.5 * gsq / tau**2
-    confinement = 0.25 * tau ** (-a) * float(g.integrate(g.radius_sq * rho).real)
+    confinement = 0.25 * tau ** (-a) * position_norm_sq(v)
     integrand = power_ratio(rho, sigma) * rho  # -> rho ln rho as sigma -> 0
     coeff = tau ** (-a) / (sigma + 1.0)
     plus = coeff * float(g.integrate(np.where(rho >= 1.0, integrand, 0.0)).real)
@@ -104,7 +104,7 @@ def direct_gradient_norm_sq(v: WaveField, env: EnvelopeState) -> float:
     tau, taud = env.tau, env.tau_dot
     grads = g.gradient(v.values)
     gsq = sum(float(g.integrate(np.abs(c) ** 2).real) for c in grads)
-    ysq = float(g.integrate(g.radius_sq * np.abs(v.values) ** 2).real)
+    ysq = position_norm_sq(v)
     cross = sum(float(g.integrate(mesh * np.imag(np.conj(v.values) * dv)).real)
                 for mesh, dv in zip(g.coords, grads))
     return gsq / tau**2 + taud**2 * ysq + 2.0 * (taud / tau) * cross

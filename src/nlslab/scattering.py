@@ -112,6 +112,12 @@ def scattering_map(u_minus: WaveField, sigma: float, dt: float,
     return u_plus, {"defects": defects, "trivial": False}
 
 
+def _loglog_slope(xs, ys) -> float:
+    xs = np.log(np.asarray(xs, dtype=float))
+    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
 def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
                                    dt: float, times) -> dict:
     """Global-continuity surrogate: sup_t of the conjugated difference norms.
@@ -133,7 +139,5 @@ def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
         sup = max(d["sigma_norm"] for d in diffs)
         t_at = max(diffs, key=lambda d: d["sigma_norm"])["t"]
         rows.append({"nu": nu, "sup": sup, "t_at_sup": t_at, "diffs": diffs})
-    gaps = np.array([abs(r["nu"] - sigma) for r in rows])
-    sups = np.array([r["sup"] for r in rows])
-    theta_hat = float(np.polyfit(np.log(gaps), np.log(np.maximum(sups, 1e-300)), 1)[0])
+    theta_hat = _loglog_slope([abs(r["nu"] - sigma) for r in rows], [r["sup"] for r in rows])
     return {"sigma": sigma, "rows": rows, "theta_hat": theta_hat}

@@ -195,14 +195,16 @@ def test_unexpected_error_replaces_stale_record(tmp_path, monkeypatch):
     cfg = _tiny_ode_config()
     out = str(tmp_path)
     monkeypatch.setitem(experiments._EXPERIMENTS, cfg.name,
-                        (lambda c: {"x.csv": (("a",), [(1.0,)])},
-                         lambda c, d: [{"check": "stub", "passed": True, "detail": ""}], {}))
+                        experiments._EXPERIMENTS[cfg.name]._replace(
+                            runner=lambda c: {"x.csv": (("a",), [(1.0,)])},
+                            analyzer=lambda c, d: [{"check": "stub", "passed": True,
+                                                    "detail": ""}]))
     assert run(cfg, out).passed and verify(out)["ok"]
 
     def broken(c):
         raise ValueError("not a package error")
     monkeypatch.setitem(experiments._EXPERIMENTS, cfg.name,
-                        (broken, *experiments._EXPERIMENTS[cfg.name][1:]))
+                        experiments._EXPERIMENTS[cfg.name]._replace(runner=broken))
     record = run(cfg, out)
     assert record.status == "failed" and record.stage == "ValueError"
     stored = RunRecord.load(os.path.join(out, "record.json"))
@@ -354,6 +356,20 @@ def _config_text(change):
     *(json.dumps({"name": name, "dim": 2, "n": 64, "half_length": 10.0, "sigmas": sigmas,
                   "t0": 1.0, "n_times": 4})
       for name, sigmas in (("uniform-w1", [0.3, 0.31, 0.32]), ("log-limit-global", [0.1, 0.05]))),
+    _config_text(lambda d: d.update(name="global-interaction-picture", sigmas=[1.5, 1.54, 1.6],
+                                    n_times=1)),
+    _config_text(lambda d: d.update(name="log-limit-local", sigmas=[0.05, 0.02], n_times=1)),
+    _config_text(lambda d: d.update(name="log-limit-global", sigmas=[0.1, 0.05], n_times=1)),
+    _config_text(lambda d: d.update(name="gaussian-profile", sigmas=[0.0], t0=10.0, n_times=1)),
+    _config_text(lambda d: d.update(name="ode-suite", sigmas=[0.1], t0=4.0, n_times=2)),
+    _config_text(lambda d: d.update(name="global-interaction-picture", sigmas=[1.2, 1.25, 1.3])),
+    _config_text(lambda d: d.update(name="uniform-w1", sigmas=[0.9, 1.0, 1.1])),
+    _config_text(lambda d: d.update(name="log-limit-local", sigmas=[0.0, 0.05])),
+    _config_text(lambda d: d.update(name="log-limit-global", sigmas=[1.0, 0.05])),
+    _config_text(lambda d: d.update(name="gaussian-profile", sigmas=[0.1], t0=10.0)),
+    _config_text(lambda d: d.update(name="sobolev-growth", sigmas=[0.1], t0=10.0, n_times=3)),
+    _config_text(lambda d: d.update(name="sobolev-growth", sigmas=[0.0], t0=1.0, n_times=3)),
+    _config_text(lambda d: d.update(name="ode-suite", sigmas=[-0.1], t0=4.0, n_times=3)),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
         "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
@@ -361,7 +377,12 @@ def _config_text(change):
         "ode-last-time-1", "gaussian-t0-below-1", "one-time-uniform-w1",
         "two-times-sobolev", "two-times-scattering", "zero-dt", "negative-dt", "zero-width",
         "negative-t0", "zero-half-length", "dim-3", "n-not-power-of-two",
-        "dim-2-gaussian-profile", "dim-2-uniform-w1", "dim-2-log-limit-global"])
+        "dim-2-gaussian-profile", "dim-2-uniform-w1", "dim-2-log-limit-global",
+        "one-time-global", "one-time-log-limit-local", "one-time-log-limit-global",
+        "one-time-gaussian-profile", "two-times-ode", "below-strauss-global",
+        "sigma-1-uniform-w1", "sigma-0-log-limit-local", "sigma-1-log-limit-global",
+        "nonzero-sigma-gaussian-profile", "nonzero-sigma-sobolev", "t0-1-sobolev",
+        "negative-sigma-ode"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -426,6 +447,20 @@ def test_cli_verify_malformed_csv_exits_2(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("ERROR: malformed artifact") and "sup_difference.csv" in err
     assert "Traceback" not in err
+
+
+def test_cli_sweep_runs_on_past_a_run_that_cannot_write(tmp_path, capsys):
+    # a directory where the first run writes its record: that run alone fails, with
+    # one line, and the next run still runs and verifies; the sweep exits 2
+    (tmp_path / "sigma-000" / "record.json").mkdir(parents=True)
+    code = cli_main(["sweep", "ode-suite", "--axis", "sigma", "--values", "0.1", "0.01",
+                     "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.out + captured.err
+    assert captured.out.startswith("sigma=0.1: ERROR (NlsLabError) cannot write "
+                                   f"{tmp_path / 'sigma-000' / 'record.json'}: ")
+    assert captured.out.splitlines()[1:] == ["sigma=0.01: PASS"]
+    assert verify(str(tmp_path / "sigma-001"))["ok"]
 
 
 def test_cli_sweep_non_numeric_values_exits_2(tmp_path, capsys):
