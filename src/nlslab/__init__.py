@@ -21,5 +21,4 @@ from .propagators import evolve, free_flow
 from .rescaling import (PROFILE_DILATION, PseudoEnergy, cazenave_haraux_gap,
                         density_from_field, direct_gradient_norm_sq, pseudo_energy)
 from .scattering import (AsymptoticState, extract_asymptotic, free_conjugate,
-                         interaction_picture_continuity, scattering_map,
-                         sigma_norm, strauss_exponent)
+                         scattering_map, sigma_norm, strauss_exponent)

@@ -9,8 +9,8 @@ import os
 import sys
 
 from .errors import NlsLabError
-from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, default_config,
-                          format_value, run, sweep, verify)
+from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, default_config, run, sweep,
+                          verify)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -84,9 +84,8 @@ def _cmd_verify(args) -> int:
 def _cmd_list(args) -> int:
     for name in EXPERIMENT_NAMES:
         cfg = default_config(name)
-        print(f"{name}: sigmas={list(cfg.sigmas)}, N={cfg.n}, L={format_value(cfg.half_length)}, "
-              f"dt={format_value(cfg.dt)}, t={format_value(cfg.times()[0])}.."
-              f"{format_value(cfg.times()[-1])}")
+        print(f"{name}: sigmas={list(cfg.sigmas)}, N={cfg.n}, L={cfg.half_length!r}, "
+              f"dt={cfg.dt!r}, t={cfg.times()[0]!r}..{cfg.times()[-1]!r}")
     return 0
 
 

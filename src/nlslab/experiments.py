@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 import time as _time
 import traceback
@@ -31,8 +32,8 @@ from .metrics import gaussian_gamma, w1_1d
 from .propagators import evolve
 from .rescaling import (PROFILE_DILATION, density_from_field,
                         direct_gradient_norm_sq, pseudo_energy)
-from .scattering import (_loglog_slope, extract_asymptotic, interaction_picture_continuity,
-                         scattering_map, strauss_exponent)
+from .scattering import (extract_asymptotic, free_conjugate, scattering_map, sigma_norm,
+                         strauss_exponent)
 
 # ---------------------------------------------------------------- config
 
@@ -68,6 +69,11 @@ class ExperimentConfig:
                 raise GridError(f"invalid config: {key} must be a finite real"
                                 f"{'' if key == 'sigma' else ' > 0'}, got {value!r}")
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
+        # at a subnormal d sigma the envelope's (1 - tau^-a)/a and the rescaled
+        # (rho^sigma - 1)/sigma lose their digits to underflow
+        if any(0.0 < abs(self.dim * s) < sys.float_info.min for s in self.sigmas):
+            raise GridError(f"invalid config: dim * sigma must be 0 or at least "
+                            f"{sys.float_info.min!r} in size, got sigmas {list(self.sigmas)}")
         try:
             make_grid(self.dim, self.n, self.half_length)
         except GridError as exc:
@@ -255,6 +261,27 @@ def _verdict(check: str, passed: bool, detail: str) -> dict:
     return {"check": check, "passed": bool(passed), "detail": detail}
 
 
+def _to_reference(rows, distance) -> list:
+    """distance(state, the first row's state) at each checkpoint: one trace for
+    every row after the first."""
+    ref, *runs = rows
+    return [[distance(a, b) for a, b in zip(run, ref)] for run in runs]
+
+
+def _final_octave(trace) -> tuple:
+    """(sup of the trace without its last checkpoint, sup of the whole trace, the
+    relative change between them): how far the running sup moves over the last
+    dyadic octave."""
+    sup_half, sup_full = max(trace[:-1]), max(trace)
+    return sup_half, sup_full, (sup_full - sup_half) / max(sup_full, 1e-300)
+
+
+def _loglog_slope(xs, ys) -> float:
+    xs = np.log(np.asarray(xs, dtype=float))
+    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
+    return float(np.polyfit(xs, ys, 1)[0])
+
+
 # ---------------------------------------------------------------- runners
 # Each runner returns {csv basename: (header, rows)}; each analyzer maps
 # the written CSVs back to verdicts, touching no solver state.
@@ -344,11 +371,8 @@ def _analyze_ode_suite(cfg: ExperimentConfig, out_dir: str):
 
 def _run_local_continuity(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
-    ref, *runs = _stack(cfg, Model.DIRECT, cfg.sigmas)
-    rows = []
-    for nu, run in zip(nus, runs):
-        sup = max(l2_distance(a, b) for a, b in zip(run, ref))
-        rows.append((nu, abs(nu - base), sup))
+    traces = _to_reference(_stack(cfg, Model.DIRECT, cfg.sigmas), l2_distance)
+    rows = [(nu, abs(nu - base), max(trace)) for nu, trace in zip(nus, traces)]
     theta = _loglog_slope([r[1] for r in rows], [r[2] for r in rows])
     return {
         "sup_difference.csv": (("nu", "gap", "sup_l2"), rows),
@@ -371,24 +395,24 @@ def _analyze_local_continuity(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_global_interaction(cfg: ExperimentConfig):
+    # global-continuity surrogate: the sup over t of the Sigma norm of the
+    # interaction-picture difference e^{-i(t/2) Lap} (u_nu - u_sigma)(t)
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
-    grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
-    phi = gaussian_state(grid, cfg.width, sigma=base, model=Model.DIRECT)
-    report = interaction_picture_continuity(phi, base, nus, cfg.dt, cfg.times())
-    rows = [(r["nu"], abs(r["nu"] - base), r["sup"], r["t_at_sup"])
-            for r in report["rows"]]
-    sat_rows = []
-    for r in report["rows"]:
-        sups = [d["sigma_norm"] for d in r["diffs"]]
+    profiles = [[free_conjugate(f) for f in run] for run in _stack(cfg, Model.DIRECT, cfg.sigmas)]
+    traces = _to_reference(profiles,
+                           lambda p, q: sigma_norm(p.with_values(p.values - q.values)))
+    rows, sat_rows = [], []
+    for nu, run, trace in zip(nus, profiles[1:], traces):
+        i_sup = max(range(len(trace)), key=trace.__getitem__)
+        rows.append((nu, abs(nu - base), trace[i_sup], run[i_sup].time))
         # saturation: doubling the dyadic time range barely moves the sup
-        sup_half, sup_full = max(sups[:-1]), max(sups)
-        sat_rows.append((r["nu"], sup_half, sup_full,
-                         abs(sup_full - sup_half) / max(sup_full, 1e-300)))
+        sat_rows.append((nu, *_final_octave(trace)))
+    theta = _loglog_slope([r[1] for r in rows], [r[2] for r in rows])
     return {
         "sup_difference.csv": (("nu", "gap", "sup_sigma_norm", "t_at_sup"), rows),
         "saturation.csv": (("nu", "sup_half_range", "sup_full_range",
                             "relative_change"), sat_rows),
-        "fit.csv": (("sigma", "theta_hat"), [(base, report["theta_hat"])]),
+        "fit.csv": (("sigma", "theta_hat"), [(base, theta)]),
     }
 
 
@@ -413,11 +437,14 @@ def _analyze_global_interaction(cfg: ExperimentConfig, out_dir: str):
 def _run_scattering(cfg: ExperimentConfig):
     grid = make_grid(cfg.dim, cfg.n, cfg.half_length)
     threshold = strauss_exponent(cfg.dim)
+    # long-range controls: forward runs only, one stack; extraction must stall
+    controls = [s for s in cfg.sigmas if s <= threshold]
+    control_runs = iter(_stack(cfg, Model.DIRECT, controls) if controls else ())
     rows = []
     defect_rows = []
     for s in cfg.sigmas:
-        phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT)
         if s > threshold:
+            phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT)
             state, diag = scattering_map(phi, s, cfg.dt, cfg.t0,
                                          n_cadences=cfg.n_times)
             hist = state.residual_history
@@ -425,9 +452,7 @@ def _run_scattering(cfg: ExperimentConfig):
             for i, d in enumerate(diag["defects"]):
                 defect_rows.append((s, i, d))
         else:
-            # long-range control: forward run only, extraction must stall
-            run = evolve(phi, cfg.dt, cfg.times())
-            out = extract_asymptotic(run)
+            out = extract_asymptotic(next(control_runs))
             hist, converged = out.residual_history, out.converged
         for i, r in enumerate(hist):
             rows.append((s, i, cfg.t0 * 2**i, r, converged))
@@ -460,11 +485,10 @@ def _analyze_scattering(cfg: ExperimentConfig, out_dir: str):
 def _run_uniform_w1(cfg: ExperimentConfig):
     base, nus = cfg.sigmas[0], cfg.sigmas[1:]
     times = cfg.times()
-    ref, *runs = ([density_from_field(f) for f in run]
-                  for run in _stack(cfg, Model.DIRECT_LENS, cfg.sigmas))
+    traces = _to_reference([[density_from_field(f) for f in run]
+                            for run in _stack(cfg, Model.DIRECT_LENS, cfg.sigmas)], w1_1d)
     w_rows, sup_rows = [], []
-    for nu, run in zip(nus, runs):
-        ws = [w1_1d(a, b) for a, b in zip(run, ref)]
+    for nu, ws in zip(nus, traces):
         for t, w in zip(times, ws):
             w_rows.append((nu, t, w))
         i_sup = max(range(len(ws)), key=ws.__getitem__)
@@ -486,11 +510,8 @@ def _analyze_uniform_w1(cfg: ExperimentConfig, out_dir: str):
     # "bounded sup time" at desk scale: the W1 traces saturate, i.e. the
     # running sup moves by < 5% over the final dyadic octave
     trace = _rows(out_dir, "w1_trace.csv")
-    creep = 0.0
-    for nu in sorted({r[0] for r in trace}):
-        ws = [r[2] for r in trace if r[0] == nu]
-        sup_prev, sup_full = max(ws[:-1]), max(ws)
-        creep = max(creep, (sup_full - sup_prev) / max(sup_full, 1e-300))
+    creep = max((_final_octave([r[2] for r in trace if r[0] == nu])[2]
+                 for nu in sorted({r[0] for r in trace})), default=0.0)
     return [
         _verdict("uniform-w1/vanishing-with-gap", monotone,
                  f"mean sup_t W1 by gap {dict(zip(gaps, means))}"),
@@ -501,13 +522,13 @@ def _analyze_uniform_w1(cfg: ExperimentConfig, out_dir: str):
 
 def _run_log_limit_local(cfg: ExperimentConfig):
     # the log flow is the sigma = 0 row of the rescaled stack
-    ref, *runs = _stack(cfg, Model.RESCALED, (0.0, *cfg.sigmas))
+    traces = _to_reference(_stack(cfg, Model.RESCALED, (0.0, *cfg.sigmas)), l2_distance)
     rows = []
-    for s, run in zip(cfg.sigmas, runs):
+    for s, trace in zip(cfg.sigmas, traces):
         sup = 0.0
-        for t, a, b in zip(cfg.times(), run, ref):
-            sup = max(sup, l2_distance(a, b))
-            rows.append((s, t, l2_distance(a, b), sup))
+        for t, d in zip(cfg.times(), trace):
+            sup = max(sup, d)
+            rows.append((s, t, d, sup))
     # fit log(sup(T)) = log(C1 sigma) + C0 T per sigma; C0 from the T-slope
     fits = []
     for s in cfg.sigmas:
@@ -540,16 +561,13 @@ def _analyze_log_limit_local(cfg: ExperimentConfig, out_dir: str):
 
 
 def _run_log_limit_global(cfg: ExperimentConfig):
-    log_run, *runs = _stack(cfg, Model.RESCALED_LENS, (0.0, *cfg.sigmas))
-    ref = [density_from_field(f) for f in log_run]
+    stack = _stack(cfg, Model.RESCALED_LENS, (0.0, *cfg.sigmas))
+    traces = _to_reference([[density_from_field(f) for f in run] for run in stack], w1_1d)
     w_rows, sup_rows, pe_rows = [], [], []
-    for s, run in zip(cfg.sigmas, runs):
+    for s, run, ws in zip(cfg.sigmas, stack[1:], traces):
         envelope = TauEnvelope(s, cfg.dim)
-        ws = []
-        for f, rho0, t in zip(run, ref, cfg.times()):
+        for f, t, w in zip(run, cfg.times(), ws):
             env = envelope.state(f.time)
-            w = w1_1d(density_from_field(f), rho0)
-            ws.append(w)
             w_rows.append((s, t, w))
             pe = pseudo_energy(f, env)
             pe_rows.append((s, t, env.tau, pe.kinetic, pe.confinement,

@@ -56,6 +56,11 @@ class Grid:
             raise GridError(f"N must be a power of two >= 8, got {n}")
         if not (self.half_length > 0):
             raise GridError(f"half-length must be positive, got {self.half_length}")
+        # the largest |k|^2, d (pi N / (2 L))^2, formed as k_sq forms it
+        k_max = np.pi / self.half_length * (n // 2)
+        if not np.isfinite(self.dim * k_max * k_max):
+            raise GridError(f"half-length {self.half_length!r} too small for N = {n}: "
+                            f"the largest |k|^2 overflows")
 
     @property
     def spacing(self) -> float:

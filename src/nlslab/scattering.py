@@ -110,34 +110,3 @@ def scattering_map(u_minus: WaveField, sigma: float, dt: float,
         raise ScatteringError("forward extraction residuals did not decay",
                               stage="extract-forward")
     return u_plus, {"defects": defects, "trivial": False}
-
-
-def _loglog_slope(xs, ys) -> float:
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
-    return float(np.polyfit(xs, ys, 1)[0])
-
-
-def interaction_picture_continuity(phi: WaveField, sigma: float, nu_values,
-                                   dt: float, times) -> dict:
-    """Global-continuity surrogate: sup_t of the conjugated difference norms.
-
-    All runs share the datum phi, isolating the |nu - sigma|^theta term;
-    theta_hat is the log-log slope of the sup against |nu - sigma|.
-    """
-    nu_values = list(nu_values)
-    trajectories = evolve([phi.with_tags(sigma=s, model=Model.DIRECT, time=0.0)
-                           for s in (sigma, *nu_values)], dt, times)
-    ref, *runs = ([free_conjugate(f) for f in run] for run in trajectories)
-    rows = []
-    for nu, run in zip(nu_values, runs):
-        diffs = []
-        for p_nu, p_sig in zip(run, ref):
-            delta = p_nu.with_values(p_nu.values - p_sig.values)
-            diffs.append({"t": p_nu.time, "l2": l2_distance(p_nu, p_sig),
-                          "sigma_norm": sigma_norm(delta)})
-        sup = max(d["sigma_norm"] for d in diffs)
-        t_at = max(diffs, key=lambda d: d["sigma_norm"])["t"]
-        rows.append({"nu": nu, "sup": sup, "t_at_sup": t_at, "diffs": diffs})
-    theta_hat = _loglog_slope([abs(r["nu"] - sigma) for r in rows], [r["sup"] for r in rows])
-    return {"sigma": sigma, "rows": rows, "theta_hat": theta_hat}

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import nlslab
-from nlslab import (ExperimentConfig, EXPERIMENT_NAMES, GridError, RunRecord,
-                    VerificationError, default_config, run, sweep, verify)
+from nlslab import (ExperimentConfig, EXPERIMENT_NAMES, GridError, Model, RunRecord,
+                    VerificationError, default_config, evolve, free_conjugate,
+                    gaussian_state, l2_distance, make_grid, run, sigma_norm, sweep, verify)
 from nlslab.cli import main as cli_main
 from nlslab.experiments import format_value, read_csv, write_csv
 
@@ -227,6 +229,29 @@ def test_sweep_rejects_unknown_axis(tmp_path):
         sweep(_tiny_ode_config(), "width", [1.0], str(tmp_path))
 
 
+def test_global_interaction_tables_structure(tmp_path):
+    # sigma above the Strauss exponent (1.28 at d = 1); each row's Sigma-norm trace
+    # is recomputed here from its own march of the same datum
+    cfg = ExperimentConfig(name="global-interaction-picture", sigmas=(1.5, 1.52, 1.54),
+                           n=128, half_length=15.0, dt=4e-3, t0=0.5, n_times=2)
+    assert run(cfg, str(tmp_path)).status == "complete"
+    rows, sat, fit = (read_csv(str(tmp_path / name))[1]
+                      for name in ("sup_difference.csv", "saturation.csv", "fit.csv"))
+    phi = gaussian_state(make_grid(1, 128, 15.0), 1.0, model=Model.DIRECT)
+    stack = evolve([phi.with_tags(sigma=s) for s in cfg.sigmas], 4e-3, cfg.times())
+    ref, *marched = ([free_conjugate(f) for f in states] for states in stack)
+    assert [r[0] for r in rows] == [r[0] for r in sat] == [1.52, 1.54]
+    for row, sat_row, profiles in zip(rows, sat, marched):
+        (_, _, sup, t_at_sup), (_, sup_half, sup_full, _) = row, sat_row
+        trace = [sigma_norm(p.with_values(p.values - q.values)) for p, q in zip(profiles, ref)]
+        assert all(0.0 < l2_distance(p, q) <= d for p, q, d in zip(profiles, ref, trace))
+        assert sup == max(trace) == sup_full and sup_half == max(trace[:-1])
+        assert t_at_sup in cfg.times() and t_at_sup == cfg.times()[trace.index(sup)]
+    # the closer exponent gives the smaller sup; the fitted slope is positive
+    assert 0.0 < rows[0][2] < rows[1][2]
+    assert fit[0][1] > 0.0
+
+
 # ------------------------------------------------------------- CLI
 
 def _small_local_config():
@@ -240,6 +265,8 @@ def test_cli_list(capsys):
     out = capsys.readouterr().out
     for name in EXPERIMENT_NAMES:
         assert name in out
+    # shortest reprs, not format_value's 17 digits (dt=0.0050000000000000001)
+    assert "dt=0.005, " in out
 
 
 def test_cli_run_and_verify(tmp_path, capsys):
@@ -370,6 +397,8 @@ def _config_text(change):
     _config_text(lambda d: d.update(name="sobolev-growth", sigmas=[0.1], t0=10.0, n_times=3)),
     _config_text(lambda d: d.update(name="sobolev-growth", sigmas=[0.0], t0=1.0, n_times=3)),
     _config_text(lambda d: d.update(name="ode-suite", sigmas=[-0.1], t0=4.0, n_times=3)),
+    _config_text(lambda d: d.update(name="ode-suite", sigmas=[5e-324], t0=1.0, n_times=3)),
+    _config_text(lambda d: d.update(half_length=1e-300)),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
         "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
@@ -382,13 +411,16 @@ def _config_text(change):
         "one-time-gaussian-profile", "two-times-ode", "below-strauss-global",
         "sigma-1-uniform-w1", "sigma-0-log-limit-local", "sigma-1-log-limit-global",
         "nonzero-sigma-gaussian-profile", "nonzero-sigma-sobolev", "t0-1-sobolev",
-        "negative-sigma-ode"])
+        "negative-sigma-ode", "subnormal-sigma-ode", "tiny-box"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ERROR: invalid config") and "Traceback" not in err
+    assert err.count("\n") == 1 and not caught, [str(w.message) for w in caught]
 
 
 def test_cli_unreadable_config_exits_2(tmp_path, capsys):

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from nlslab import (GridError, Model, extract_asymptotic,
-                    free_conjugate, free_flow, gaussian_state,
-                    interaction_picture_continuity, l2_distance, make_grid,
-                    mass, scattering_map, sigma_norm, strauss_exponent)
+from nlslab import (GridError, extract_asymptotic, free_conjugate, free_flow,
+                    gaussian_state, l2_distance, make_grid, mass, scattering_map,
+                    sigma_norm, strauss_exponent)
 
 
 # ------------------------------------------------------------- exponents
@@ -129,22 +128,3 @@ def test_scattering_small_data_near_identity():
     rel = l2_distance(u_plus.state, u_minus.with_tags(time=0.0)) / eps
     assert rel <= 1e-6
 
-
-# ------------------------------------------------------------- continuity
-
-def test_interaction_picture_continuity_structure():
-    g = make_grid(1, 128, 15.0)
-    phi = gaussian_state(g, 1.0, sigma=0.8)
-    rep = interaction_picture_continuity(
-        phi, 0.8, [0.82, 0.84], 4e-3, [0.5, 1.0])
-    assert rep["sigma"] == 0.8
-    assert [r["nu"] for r in rep["rows"]] == [0.82, 0.84]
-    for row in rep["rows"]:
-        assert row["sup"] > 0.0
-        assert row["sup"] == max(d["sigma_norm"] for d in row["diffs"])
-        assert row["t_at_sup"] in [d["t"] for d in row["diffs"]]
-        for d in row["diffs"]:
-            assert 0.0 < d["l2"] <= d["sigma_norm"]
-    # the closer exponent gives the smaller sup; the fitted slope is positive
-    assert rep["rows"][0]["sup"] < rep["rows"][1]["sup"]
-    assert rep["theta_hat"] > 0.0
