@@ -202,7 +202,7 @@ def integrate_r(alpha: float, t_grid) -> list[RadialState]:
 
 
 def time_change_s(state: EnvelopeState) -> float:
-    """Compactified time s_sigma(t) from the closed form via the first integral."""
+    """Compactified time s_sigma(t) = ln g(tau) / (4 (1 - a)), g the table's stable _speed_sq."""
     a = state.alpha
     if not state.sigma > 0:
         raise EnvelopeError("time change defined for sigma > 0")
@@ -210,7 +210,7 @@ def time_change_s(state: EnvelopeState) -> float:
         raise EnvelopeError("s_sigma(t) divides by 1 - d sigma: undefined at d sigma = 1")
     if state.t <= 0 or state.tau <= 1.0:
         raise EnvelopeError("s_sigma(t) is defined for t > 0 only")
-    return math.log((1.0 - state.tau ** (-a)) / a) / (4.0 * (1.0 - a))
+    return math.log(_speed_sq(a, state.tau - 1.0)) / (4.0 * (1.0 - a))
 
 
 def tau_difference_bound(sigma: float, dim: int, t_max: float) -> float:

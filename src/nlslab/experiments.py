@@ -363,7 +363,8 @@ def _analyze_ode_suite(cfg: ExperimentConfig, out_dir: str):
     verdicts.append(_verdict("ode/log-asymptote", 0.9 <= ratio <= 1.1,
                              f"tau_0/(t sqrt(ln t)) = {ratio:.4f}"))
     if diff_rows:
-        worst = max(abs(r[4] / r[2] - 1.0) for r in diff_rows)
+        # a zero half-range sup (tau_sigma = tau_0 bitwise) drifts by 0 if the other is 0 too
+        worst = max(abs(r[4] / r[2] - 1.0) if r[2] else r[4] and math.inf for r in diff_rows)
         verdicts.append(_verdict("ode/difference-bound", worst <= 0.2,
                                  f"sup-ratio drift under t-doubling {worst:.3f}"))
     return verdicts

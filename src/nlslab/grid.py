@@ -19,7 +19,7 @@ class Model(Enum):
     """Which evolution equation a field belongs to."""
 
     DIRECT = "direct"                  # i u_t + (1/2) Lap u = |u|^{2 sigma} u
-    RESCALED = "rescaled"              # (|u|^{2 sigma} - 1) u / sigma; u ln|u|^2 at sigma = 0
+    RESCALED = "rescaled"              # ((|u|^2 + eps)^sigma - 1) u / sigma; log flow at 0
     RESCALED_LENS = "rescaled-lens"    # rescaled family in lens variables (tau_sigma envelope)
     DIRECT_LENS = "direct-lens"        # direct equation in lens variables (sqrt(1+t^2) envelope)
 
@@ -222,6 +222,10 @@ def gaussian_state(grid: Grid, width: float, center=0.0, phase_slope=0.0,
     slope = np.broadcast_to(np.atleast_1d(np.asarray(phase_slope, dtype=float)), (grid.dim,))
     if np.any(np.abs(center) >= grid.half_length):
         raise GridError("center outside box")
+    margin = grid.half_length - np.abs(center).max()
+    if margin < 5.3 * width:  # exp(-5.3^2 / 2) < 1e-6: the edge amplitude against the peak's
+        raise ResolutionError(f"width {width:g} too wide for the box: its center is {margin:g} "
+                              f"from the edge, under 5.3 widths (1e-6 of its peak there)")
     arg = np.zeros(grid.shape, dtype=np.complex128)
     for c, p, mesh in zip(center, slope, grid.coords):
         arg = arg - (mesh - c) ** 2 / (2.0 * width**2) + 1j * p * mesh
@@ -253,17 +257,17 @@ def l2_distance(a: WaveField, b: WaveField) -> float:
     return float(np.sqrt(a.grid.integrate(np.abs(a.values - b.values) ** 2).real))
 
 
-# eps of the log flow's phase ln(rho + eps) (Bao, Carles, Su & Tang, SIAM J.
-# Numer. Anal. 57 (2019)); the sigma > 0 phases and every energy are unregularised
+# eps of the rescaled family at every sigma, ln(rho + eps) at 0 (Bao, Carles, Su & Tang,
+# SIAM J. Numer. Anal. 57 (2019)), so each row tends to the sigma = 0 row as sigma -> 0
 LOG_REGULARISATION = 1e-12
 
 
 def power_ratio(rho: np.ndarray, sigma, out=None) -> np.ndarray:
-    """(rho^sigma - 1) / sigma as expm1(sigma ln rho)/sigma, which keeps the digits the
-    naive form cancels at small sigma; ln rho at sigma = 0; the vacuum reads as 1e-300.
-    sigma may also be an array of positive sigmas that broadcasts against rho.  Each
-    pass writes into out when it is given (it may be rho itself), bitwise the same."""
-    logr = np.log(np.maximum(rho, 1e-300, out=out), out=out)
+    """V_eps(rho) = ((rho + eps)^sigma - 1)/sigma as expm1(sigma ln(rho + eps))/sigma, which
+    keeps the digits the naive form cancels at small sigma; ln(rho + eps) at the float
+    sigma = 0.  sigma may also be an array of positive sigmas that broadcasts against rho.
+    Each pass writes into out when it is given (it may be rho itself), bitwise the same."""
+    logr = np.log(np.add(rho, LOG_REGULARISATION, out=out), out=out)
     if np.ndim(sigma) == 0 and sigma == 0.0:
         return logr
     return np.divide(np.expm1(np.multiply(sigma, logr, out=out), out=out), sigma, out=out)
@@ -294,10 +298,6 @@ def rotation(theta: np.ndarray, out: np.ndarray, scratch=(None, None)) -> np.nda
     return out
 
 
-def _log_phase(rho: np.ndarray, out=None) -> np.ndarray:
-    return np.log(np.add(rho, LOG_REGULARISATION, out=out), out=out)
-
-
 def nonlinear_phase(model: Model, sigma):
     """The model's pointwise potential rho = |u|^2 -> V(rho), one per Model, called
     as phase(rho, out=None): V goes into out (which may be rho itself) or, without
@@ -310,33 +310,32 @@ def nonlinear_phase(model: Model, sigma):
     a stack of fewer than 8,192 points."""
     column = np.asarray(sigma, dtype=float)
     per_row = column.reshape(len(column), -1)[:, 0].tolist() if column.ndim else [float(column)]
-    # one pass per run of adjacent rows, each a view of rho and of out: the direct
+    # one call per run of adjacent rows, each a view of rho and of out: the direct
     # family's runs share a sigma, whose float exponent keeps numpy's square and
-    # sqrt paths; the rescaled family's runs share a branch, the log one at sigma = 0
+    # sqrt paths; the rescaled family's runs share a branch of power_ratio
     direct = model.direct
     key = per_row if direct else [s == 0.0 for s in per_row]
     edges = [0, *(r for r in range(1, len(key)) if key[r] != key[r - 1]), len(key)]
     runs = [(slice(a, b) if column.ndim else ..., per_row[a]) for a, b in zip(edges, edges[1:])]
+    if not direct:  # a sigma > 0 run passes its column, a sigma = 0 run the float 0.0
+        runs = [(rows, column[rows] if s else 0.0) for rows, s in runs]
+    apply = np.power if direct else power_ratio
 
     def phase(rho, out=None):
         out = np.empty_like(rho) if out is None else out
         for rows, s in runs:
-            if direct:
-                np.power(rho[rows], s, out=out[rows])
-            elif s == 0.0:
-                _log_phase(rho[rows], out[rows])
-            else:
-                power_ratio(rho[rows], column[rows], out[rows])
+            apply(rho[rows], s, out=out[rows])
         return out
     return phase
 
 
 def _potential_density(rho: np.ndarray, sigma: float, model: Model) -> np.ndarray:
-    """Potential-energy integrand G(rho), G(0) = 0, with G' the phase V (unregularised)."""
+    """Potential-energy integrand G(rho), G(0) = 0, with G' the phase V exactly; for the
+    rescaled family ((rho + eps) V(rho) - eps V(0) - rho) / (s + 1), no 1/s cancellation."""
     if model.direct:
         return rho ** (sigma + 1.0) / (sigma + 1.0)
-    # rescaled family, log at sigma = 0: (rho^{s+1} - (s+1) rho) / (s (s+1)), no 1/s cancellation
-    return rho * (power_ratio(rho, sigma) - 1.0) / (sigma + 1.0)
+    e = LOG_REGULARISATION
+    return ((rho + e) * power_ratio(rho, sigma) - e * power_ratio(0.0, sigma) - rho) / (sigma + 1)
 
 
 def energy(field: WaveField) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .envelope import EnvelopeState
 from .errors import NormalizationError
-from .grid import Density, WaveField, mass, position_norm_sq, power_ratio
+from .grid import Density, WaveField, gradient_norm_sq, mass, position_norm_sq, power_ratio
 
 # The universal-profile statement Gamma = exp(-|y|^2)/pi^{d/2} is normalized
 # for the envelope satisfying tau tau'' = 2.  The envelope family used here
@@ -52,25 +52,19 @@ def density_from_field(v: WaveField) -> Density:
 
 
 def pseudo_energy(v: WaveField, env: EnvelopeState) -> PseudoEnergy:
-    """The lens Lyapunov functional, with the |v| >= 1 / |v| < 1 sign split.
-
-    sigma = 0 uses the logarithmic integrand (the limit of the stable
-    (rho^sigma - 1)/sigma evaluation, so one code path covers both).
-    """
-    g = v.grid
-    sigma = v.sigma
-    tau = env.tau
+    """The lens Lyapunov functional, its nonlinear part split by the sign of rho V_eps(rho),
+    with V_eps = power_ratio the step's own phase (negative below rho = 1 - eps)."""
+    g, sigma, tau = v.grid, v.sigma, env.tau
     a = g.dim * sigma
     rho = np.abs(v.values) ** 2
-    gsq = sum(float(g.integrate(np.abs(c) ** 2).real) for c in g.gradient(v.values))
-    kinetic = 0.5 * gsq / tau**2
+    kinetic = 0.5 * gradient_norm_sq(v) / tau**2
     confinement = 0.25 * tau ** (-a) * position_norm_sq(v)
-    integrand = power_ratio(rho, sigma) * rho  # -> rho ln rho as sigma -> 0
+    integrand = power_ratio(rho, sigma) * rho  # rho ln(rho + eps) at sigma = 0
     coeff = tau ** (-a) / (sigma + 1.0)
-    plus = coeff * float(g.integrate(np.where(rho >= 1.0, integrand, 0.0)).real)
-    minus = -coeff * float(g.integrate(np.where(rho < 1.0, integrand, 0.0)).real)
+    plus = coeff * float(g.integrate(np.maximum(integrand, 0.0)).real)
+    minus = -coeff * float(g.integrate(np.minimum(integrand, 0.0)).real)
     return PseudoEnergy(kinetic=kinetic, confinement=confinement,
-                        nonlinear_plus=max(plus, 0.0), nonlinear_minus=max(minus, 0.0))
+                        nonlinear_plus=plus, nonlinear_minus=minus)
 
 
 def cazenave_haraux_gap(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:

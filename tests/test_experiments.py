@@ -423,6 +423,31 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     assert err.count("\n") == 1 and not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("text,codes,err", [
+    # the sigma > 0 phase is regularised as the sigma = 0 row is, so a sigma = 1e-8 row
+    # measures a rate in sigma, not the gap between two regularisations: both verdicts pass
+    ('{"name": "log-limit-local", "sigmas": [1e-8, 0.02, 0.01]}', (0,), ""),
+    # 1 - tau^{-d sigma} rounds to 0 at d sigma = 1e-20: s_sigma(t) reads the stable
+    # first integral, and a zero difference-bound sup is a drift, not a ZeroDivisionError
+    ('{"name": "ode-suite", "sigmas": [1e-20], "t0": 1.0, "n_times": 3}', (0, 1), ""),
+    # a width-1e9 Gaussian on a box of half-length 20 is a constant on the torus
+    (_config_text(lambda d: d.update(half_length=20.0, width=1e9)), (2,),
+     "ERROR (ResolutionError): width 1e+09 too wide for the box"),
+], ids=["log-limit-local-sigma-1e-8", "ode-suite-sigma-1e-20", "datum-too-wide"])
+def test_cli_edge_config_ends_without_traceback(tmp_path, capsys, text, codes, err):
+    # verdicts and exit 0 or 1 with an empty stderr, or exit 2 with one ERROR line;
+    # never a traceback or a warning
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code in codes, captured.out + captured.err
+    assert captured.err.startswith(err) and captured.err.count("\n") == (1 if err else 0)
+    assert not caught, [str(w.message) for w in caught]
+
+
 def test_cli_unreadable_config_exits_2(tmp_path, capsys):
     assert cli_main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x")]) == 2

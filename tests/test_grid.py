@@ -64,6 +64,11 @@ def test_gaussian_underresolved_rejected():
     g = make_grid(1, 64, 20.0)
     with pytest.raises(ResolutionError):
         gaussian_state(g, 1e-3)
+    # too wide for the box: its center must be at least 5.3 widths from the edge
+    gaussian_state(g, 20.0 / 5.3)
+    for width, center in ((20.0 / 5.29, 0.0), (1.0, 14.8)):
+        with pytest.raises(ResolutionError):
+            gaussian_state(g, width, center=center)
 
 
 def test_gaussian_center_outside_box(grid1d):
@@ -127,14 +132,15 @@ _PHASE_SIGMAS = {"direct": (Model.DIRECT, 0.05, 2.0), "rescaled": (Model.RESCALE
 @given(label=st.sampled_from(list(_PHASE_SIGMAS)), fraction=st.floats(0.0, 1.0),
        log10_rho=st.floats(-6.0, 1.0))
 def test_energy_density_derivative_is_the_phase(label, fraction, log10_rho):
-    # G' = V for every model: a central difference of the energy density
-    # matches the step's phase (the log phase's eps = 1e-12 moves it < 1e-6)
+    # G' = V for every model, the regularised rescaled family included: a central
+    # difference of the energy density matches the step's phase to its own error,
+    # (h^2/6) |V''| + roundoff, under 4e-11 (1 + |V|) on these ranges
     model, lo, hi = _PHASE_SIGMAS[label]
     sigma, rho = lo + fraction * (hi - lo), 10.0**log10_rho
     h = 1e-5 * rho
     g_minus, g_plus = _potential_density(np.array([rho - h, rho + h]), sigma, model)
     v = float(nonlinear_phase(model, sigma)(np.array([rho]))[0])
-    assert abs((g_plus - g_minus) / (2.0 * h) - v) <= 1e-6 * (1.0 + abs(v))
+    assert abs((g_plus - g_minus) / (2.0 * h) - v) <= 1e-9 * (1.0 + abs(v))
 
 
 def test_position_norm_gaussian(grid1d):
@@ -212,7 +218,7 @@ def _written_out_phase(model, sigma, rho):
         return rho**sigma
     if sigma == 0.0:
         return np.log(rho + 1e-12)
-    return np.expm1(sigma * np.log(np.maximum(rho, 1e-300))) / sigma
+    return np.expm1(sigma * np.log(rho + 1e-12)) / sigma
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -13,6 +13,7 @@ from nlslab import (BlowUpError, GridError, Model, NlsLabError, evolve, free_flo
                     gaussian_state, l2_distance, make_grid, mass,
                     power_ratio)
 from nlslab import grid as grid_module
+from nlslab.grid import nonlinear_phase
 from nlslab import propagators
 from nlslab.propagators import _lens_schedule_dt
 
@@ -38,11 +39,25 @@ def test_power_ratio_matches_naive_at_moderate_sigma():
 
 
 def test_power_ratio_stable_at_small_sigma():
-    # the naive form loses ~8 digits here; expm1 keeps full precision
+    # the naive form loses ~8 digits here; expm1 keeps full precision.
+    # ln(e + eps) = 1 + log1p(eps / e), with eps = 1e-12 the regularisation
     rho = np.array([math.e])
     s = 1e-6
-    exact = math.expm1(s) / s
+    exact = math.expm1(s * (1.0 + math.log1p(1e-12 / math.e))) / s
     assert abs(power_ratio(rho, s)[0] - exact) <= 1e-14
+
+
+def test_power_ratio_reaches_the_log_phase_linearly_in_sigma():
+    # [DERIVED] with L = ln(rho + eps), expm1(sigma L)/sigma - L = sigma L^2/2 (1 + O(sigma L)),
+    # and |sigma L| <= 3e-3 here, so C = 0.51 bounds the gap at every rho, the vacuum
+    # included: the sigma > 0 phase and the sigma = 0 row share the one eps = 1e-12
+    rho = np.array([0.0, 1e-300, 1e-20, 1e-12, 1.0, 1e3])
+    log_row = np.log(rho + 1e-12)
+    assert np.array_equal(power_ratio(rho, 0.0), log_row)
+    assert np.array_equal(power_ratio(rho, 0.0), nonlinear_phase(Model.RESCALED, 0.0)(rho))
+    for s in (1e-12, 1e-8, 1e-4):
+        gap = np.abs(power_ratio(rho, s) - log_row)
+        assert (gap <= 0.51 * s * (1.0 + log_row**2)).all(), (s, gap)
 
 
 # ------------------------------------------------------------- free flow
