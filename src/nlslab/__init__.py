@@ -9,8 +9,7 @@ __version__ = "0.1.0"  # set first: experiments records it in every run
 from .envelope import (EnvelopeState, RadialState, TauEnvelope, first_integral_residual,
                        integrate_r, integrate_tau, tau_difference_bound, time_change_s)
 from .errors import (BlowUpError, EnvelopeError, GridError, NlsLabError,
-                     NormalizationError, ResolutionError, ScatteringError,
-                     VerificationError)
+                     NormalizationError, ResolutionError, VerificationError)
 from .experiments import (EXPERIMENT_NAMES, ExperimentConfig, RunRecord,
                           default_config, run, sweep, verify)
 from .grid import (Density, Grid, Model, WaveField, energy, gaussian_state,

@@ -33,13 +33,5 @@ class BlowUpError(NlsLabError, RuntimeError):
         self.time = time
 
 
-class ScatteringError(NlsLabError, RuntimeError):
-    """Wave/scattering-operator construction failure."""
-
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
-
-
 class VerificationError(NlsLabError, RuntimeError):
     """Run-record re-verification failure (missing or corrupt artifacts)."""

@@ -441,22 +441,16 @@ def _run_scattering(cfg: ExperimentConfig):
     # long-range controls: forward runs only, one stack; extraction must stall
     controls = [s for s in cfg.sigmas if s <= threshold]
     control_runs = iter(_stack(cfg, Model.DIRECT, controls) if controls else ())
-    rows = []
-    defect_rows = []
+    rows, defect_rows = [], []
     for s in cfg.sigmas:
         if s > threshold:
             phi = gaussian_state(grid, cfg.width, sigma=s, model=Model.DIRECT)
-            state, diag = scattering_map(phi, s, cfg.dt, cfg.t0,
-                                         n_cadences=cfg.n_times)
-            hist = state.residual_history
-            converged = state.converged
-            for i, d in enumerate(diag["defects"]):
-                defect_rows.append((s, i, d))
+            state, diag = scattering_map(phi, s, cfg.dt, cfg.t0, n_cadences=cfg.n_times)
+            defect_rows += [(s, i, d) for i, d in enumerate(diag["defects"])]
         else:
-            out = extract_asymptotic(next(control_runs))
-            hist, converged = out.residual_history, out.converged
-        for i, r in enumerate(hist):
-            rows.append((s, i, cfg.t0 * 2**i, r, converged))
+            state = extract_asymptotic(next(control_runs))
+        rows += [(s, i, t, r, state.converged)
+                 for i, (t, r) in enumerate(zip(cfg.times(), state.residual_history))]
     return {
         "residuals.csv": (("sigma", "cadence", "t", "residual", "converged"), rows),
         "refinement.csv": (("sigma", "sweep", "defect"), defect_rows),

@@ -61,6 +61,9 @@ class Grid:
         if not np.isfinite(self.dim * k_max * k_max):
             raise GridError(f"half-length {self.half_length!r} too small for N = {n}: "
                             f"the largest |k|^2 overflows")
+        if not np.isfinite(self.dim * self.half_length * self.half_length):
+            raise GridError(f"half-length {self.half_length!r} too large: the largest "
+                            f"|x|^2 overflows")
 
     @property
     def spacing(self) -> float:

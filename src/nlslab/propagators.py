@@ -141,22 +141,27 @@ def _march(values: np.ndarray, grid, t: float, dts, coefficients, out=None):
         np.multiply(values, tables[run % per_window], out=values)
         grid.ifft(values, out=values)
 
-    for k, dt in enumerate(dts):
-        kick(k)
-        np.abs(values, out=rho)
-        rho **= 2
-        theta = phase(rho, potential)
-        if nl is not None:
-            np.copyto(rho, nl[k])
-            theta *= rho
-            np.copyto(confinement, harm[k])
-            confinement *= radius_sq
-            theta += confinement
-        theta *= dt
-        values *= rotation(theta, spin, (rho, confinement))
-        if not np.isfinite(values.sum()):
-            raise BlowUpError("NaN/Inf after step", time=times[k + 1])
-    kick(len(dts))
+    # the finiteness check after each step is the one detector of an overflow, so
+    # numpy's floating-point warnings (an overflow in the phase, an invalid tan)
+    # are silenced here and nowhere else
+    with np.errstate(all="ignore"):
+        for k, dt in enumerate(dts):
+            kick(k)
+            np.abs(values, out=rho)
+            rho **= 2
+            theta = phase(rho, potential)
+            if nl is not None:
+                np.copyto(rho, nl[k])
+                theta *= rho
+                np.copyto(confinement, harm[k])
+                confinement *= radius_sq
+                theta += confinement
+            theta *= dt
+            values *= rotation(theta, spin, (rho, confinement))
+            if not np.isfinite(values.sum()):
+                raise BlowUpError(f"NaN/Inf after the step to t = {times[k + 1]:.6g}",
+                                  time=times[k + 1])
+        kick(len(dts))
     return values, times[-1]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, ScatteringError
+from .errors import GridError
 from .grid import Model, WaveField, gradient_norm_sq, l2_distance, mass, position_norm_sq
 from .propagators import evolve, free_flow
 
@@ -82,7 +82,9 @@ def scattering_map(u_minus: WaveField, sigma: float, dt: float,
     Returns (AsymptoticState for u+, diagnostics dict).  The backward
     datum at -T is iteratively corrected: evolve to -T/2, compare the
     conjugated profile with u-, and push the defect back through the
-    free flow (at most REFINE_SWEEPS sweeps).
+    free flow (at most REFINE_SWEEPS sweeps).  A forward extraction whose
+    residuals do not decay is returned with converged=False, for the
+    caller to judge.
     """
     if mass(u_minus) == 0:
         zero = u_minus.with_tags(sigma=sigma, model=Model.DIRECT, time=0.0)
@@ -105,8 +107,4 @@ def scattering_map(u_minus: WaveField, sigma: float, dt: float,
         datum = datum.with_values(datum.values - correction.values, time=-T)
     trajectory = evolve(datum.with_tags(time=-T), dt,
                         [T * 2**j for j in range(n_cadences)])
-    u_plus = extract_asymptotic(trajectory)
-    if not u_plus.converged:
-        raise ScatteringError("forward extraction residuals did not decay",
-                              stage="extract-forward")
-    return u_plus, {"defects": defects, "trivial": False}
+    return extract_asymptotic(trajectory), {"defects": defects, "trivial": False}

@@ -1,4 +1,6 @@
 """Experiment harness: configs, artifacts, determinism, verification, CLI."""
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,11 +9,14 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import nlslab
 from nlslab import (ExperimentConfig, EXPERIMENT_NAMES, GridError, Model, RunRecord,
                     VerificationError, default_config, evolve, free_conjugate,
-                    gaussian_state, l2_distance, make_grid, run, sigma_norm, sweep, verify)
+                    gaussian_state, l2_distance, make_grid, run, sigma_norm,
+                    strauss_exponent, sweep, verify)
 from nlslab.cli import main as cli_main
 from nlslab.experiments import format_value, read_csv, write_csv
 
@@ -399,6 +404,7 @@ def _config_text(change):
     _config_text(lambda d: d.update(name="ode-suite", sigmas=[-0.1], t0=4.0, n_times=3)),
     _config_text(lambda d: d.update(name="ode-suite", sigmas=[5e-324], t0=1.0, n_times=3)),
     _config_text(lambda d: d.update(half_length=1e-300)),
+    _config_text(lambda d: d.update(half_length=1e200, width=1e199)),
 ], ids=["unknown-key", "missing-sigmas", "missing-name", "invalid-json", "non-integer-n",
         "zero-n-times", "non-integer-n-times", "text-dt", "text-half-length", "text-t0",
         "null-width", "infinite-sigma-ode", "infinite-sigma", "text-sigma", "bool-sigma",
@@ -411,7 +417,7 @@ def _config_text(change):
         "one-time-gaussian-profile", "two-times-ode", "below-strauss-global",
         "sigma-1-uniform-w1", "sigma-0-log-limit-local", "sigma-1-log-limit-global",
         "nonzero-sigma-gaussian-profile", "nonzero-sigma-sobolev", "t0-1-sobolev",
-        "negative-sigma-ode", "subnormal-sigma-ode", "tiny-box"])
+        "negative-sigma-ode", "subnormal-sigma-ode", "tiny-box", "huge-box"])
 def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -421,6 +427,10 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("ERROR: invalid config") and "Traceback" not in err
     assert err.count("\n") == 1 and not caught, [str(w.message) for w in caught]
+
+
+_OVERFLOW = json.dumps({"name": "local-continuity", "sigmas": [500.0, 500.01, 500.02, 500.04],
+                        "n": 256, "half_length": 5.0, "width": 0.1, "t0": 0.01, "n_times": 1})
 
 
 @pytest.mark.parametrize("text,codes,err", [
@@ -433,7 +443,11 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, text):
     # a width-1e9 Gaussian on a box of half-length 20 is a constant on the torus
     (_config_text(lambda d: d.update(half_length=20.0, width=1e9)), (2,),
      "ERROR (ResolutionError): width 1e+09 too wide for the box"),
-], ids=["log-limit-local-sigma-1e-8", "ode-suite-sigma-1e-20", "datum-too-wide"])
+    # rho^500 overflows in the first step: the march's finiteness check reports it,
+    # with the step's time, and numpy prints no overflow or invalid-value warning
+    (_OVERFLOW, (2,), "ERROR (BlowUpError): NaN/Inf after the step to t = 0.001"),
+], ids=["log-limit-local-sigma-1e-8", "ode-suite-sigma-1e-20", "datum-too-wide",
+        "phase-overflow"])
 def test_cli_edge_config_ends_without_traceback(tmp_path, capsys, text, codes, err):
     # verdicts and exit 0 or 1 with an empty stderr, or exit 2 with one ERROR line;
     # never a traceback or a warning
@@ -446,6 +460,77 @@ def test_cli_edge_config_ends_without_traceback(tmp_path, capsys, text, codes, e
     assert code in codes, captured.out + captured.err
     assert captured.err.startswith(err) and captured.err.count("\n") == (1 if err else 0)
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_cli_short_range_sigma_that_does_not_scatter_fails(tmp_path, capsys):
+    # on this box the sigma = 1.5 profile residuals rise from the first cadence to the
+    # second: the extraction has not converged, a failed verdict (exit 1) with its CSVs
+    # written, and verify re-derives it from them
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"name": "scattering-continuity", "sigmas": [1.5],
+                                    "n": 128, "half_length": 20.0, "n_times": 4, "t0": 0.5}))
+    out = str(tmp_path / "run")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("FAIL  scattering/short-range-sigma=1.5: residuals ")
+    header, rows = read_csv(os.path.join(out, "residuals.csv"))
+    assert [row[header.index("t")] for row in rows] == [0.5, 1.0, 2.0]
+    assert all(row[header.index("converged")] == 0 for row in rows)
+    assert cli_main(["verify", "--out", out]) == 1
+    stdout = capsys.readouterr().out
+    assert "FAIL  scattering/short-range-sigma=1.5" in stdout and "MISMATCH" not in stdout
+
+
+# the range each experiment's config accepts its sigmas from at d = 1, drawn with its
+# ends: an end the config rejects is an invalid config, which the strategy skips
+_SIGMA_RANGES = {"local-continuity": (0.0, 1e300),
+                 "global-interaction-picture": (strauss_exponent(1), 1e300),
+                 "scattering-continuity": (0.0, 1e300), "uniform-w1": (0.0, 1.0),
+                 "log-limit-local": (0.0, 1.0), "log-limit-global": (0.0, 1.0),
+                 "ode-suite": (0.0, 1e300), "gaussian-profile": (0.0, 0.0),
+                 "sobolev-growth": (0.0, 0.0)}
+
+
+@st.composite
+def _small_configs(draw):
+    """A valid config of any experiment at N <= 64 with at most four checkpoints, the
+    last at most 400 dt, and sigma and width anywhere the config accepts them.  The box
+    holds 5.3 to 16 widths, so that N = 32 resolves the datum up to 8 and N = 64 up
+    to 16 (gaussian_state's bounds)"""
+    name = draw(st.sampled_from(EXPERIMENT_NAMES))
+    width = draw(st.one_of(st.floats(0.5, 4.0), st.floats(1e-300, 1e300)))
+    data = {"name": name, "dim": draw(st.sampled_from([1, 1, 2])),
+            "n": draw(st.sampled_from([32, 64])), "width": width,
+            "half_length": width * draw(st.floats(5.3, 16.0)), "dt": draw(st.floats(0.01, 0.1)),
+            "t0": draw(st.floats(0.01, 4.0)), "n_times": draw(st.integers(1, 4)),
+            "sigmas": draw(st.lists(st.floats(*_SIGMA_RANGES[name]), min_size=3, max_size=4))}
+    assume(data["t0"] * 2 ** (data["n_times"] - 1) <= 400 * data["dt"])
+    try:
+        ExperimentConfig(**data)
+    except GridError:  # invalid configs have test_cli_bad_config_exits_2
+        assume(False)
+    return json.dumps(data)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(text=_small_configs())
+@example(text=_OVERFLOW)
+def test_cli_small_configs_end_without_traceback(tmp_path_factory, text):
+    # a run ends with its verdicts (exit 0 or 1) and an empty stderr, or with one ERROR
+    # line (exit 2); never a traceback.  Warnings are errors here, in evolve's forked
+    # blocks too, so a warning in any process ends the run with a traceback
+    cfg_path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg_path.write_text(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(cfg_path.parent / "run")])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2) and err.count("\n") == (code == 2), text + "\n" + err
+    assert "Traceback" not in err and "Warning" not in err, text + "\n" + err
 
 
 def test_cli_unreadable_config_exits_2(tmp_path, capsys):
