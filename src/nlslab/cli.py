@@ -1,6 +1,7 @@
 """Command-line front end: run / sweep / verify / list.
 
-Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 execution error.
+Exit codes: 0 all verdicts pass, 1 any verdict fails, 2 execution error; a sweep
+exits with its worst run's code.
 """
 from __future__ import annotations
 
@@ -31,54 +32,48 @@ def _load_config(args) -> ExperimentConfig:
     return default_config(args.experiment)
 
 
-def _print_verdicts(verdicts, out=None):
+def _exit_code(status: str, passed: bool) -> int:
+    """2 if the run did not complete, else 1 if a verdict failed, else 0."""
+    return 2 if status != "complete" else 0 if passed else 1
+
+
+def _print_verdicts(verdicts):
     for v in verdicts:
-        mark = "PASS" if v["passed"] else "FAIL"
-        print(f"{mark}  {v['check']}: {v['detail']}", file=out or sys.stdout)
+        print(f"{'PASS' if v['passed'] else 'FAIL'}  {v['check']}: {v['detail']}")
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    record = run(cfg, args.out)
+    record = run(_load_config(args), args.out)
     if record.status != "complete":
         print(f"ERROR ({record.stage}): {record.error}", file=sys.stderr)
-        return 2
-    _print_verdicts(record.verdicts)
-    print(f"record: {os.path.join(args.out, 'record.json')}")
-    return 0 if record.passed else 1
+    else:
+        _print_verdicts(record.verdicts)
+        print(f"record: {os.path.join(args.out, 'record.json')}")
+    return _exit_code(record.status, record.passed)
 
 
 def _cmd_sweep(args) -> int:
     records = sweep(_load_config(args), args.axis, args.values, args.out)
-    worst = 0
     for v, rec in zip(args.values, records):
+        outcome = "PASS" if rec.passed else "FAIL"
         if rec.status != "complete":
-            print(f"{args.axis}={v!r}: ERROR ({rec.stage}) {rec.error}")
-            worst = 2
-        else:
-            ok = rec.passed
-            print(f"{args.axis}={v!r}: {'PASS' if ok else 'FAIL'}")
-            if not ok:
-                worst = max(worst, 1)
-    return worst
+            outcome = f"ERROR ({rec.stage}) {rec.error}"
+        print(f"{args.axis}={v!r}: {outcome}")
+    return max(_exit_code(rec.status, rec.passed) for rec in records)
 
 
 def _cmd_verify(args) -> int:
-    try:
-        summary = verify(args.out)
-    except NlsLabError as exc:
-        print(f"ERROR: {exc}", file=sys.stderr)
-        return 2
+    summary = verify(args.out)
     if summary["status"] != "complete":
         print(f"ERROR: stored run is {summary['status']}: {summary.get('error')}",
               file=sys.stderr)
-        return 2
-    _print_verdicts(summary["verdicts"])
-    for name in summary["tampered"]:
-        print(f"TAMPERED  {name}: stored hash does not match file")
-    for check in summary["mismatches"]:
-        print(f"MISMATCH  {check}: stored verdict differs from recomputation")
-    return 0 if summary["ok"] else 1
+    else:
+        _print_verdicts(summary["verdicts"])
+        for name in summary["tampered"]:
+            print(f"TAMPERED  {name}: stored hash does not match file")
+        for check in summary["mismatches"]:
+            print(f"MISMATCH  {check}: stored verdict differs from recomputation")
+    return _exit_code(summary["status"], summary["ok"])
 
 
 def _cmd_list(args) -> int:

@@ -28,11 +28,15 @@ from dataclasses import dataclass
 
 from .errors import EnvelopeError
 
-# panel edges w_k = _PANEL_SCALE sinh(k _PANEL_STEP): uniform near w = 0,
-# geometric beyond; tau and tau' are within 2e-13 relative of the ODE, and
-# the first-integral residual stays below 2e-12 (it grows as the step^5)
+# panel edges w_k = _PANEL_SCALE sinh(k _PANEL_STEP): uniform near w = 0, geometric
+# beyond; for a <= _MAX_EXPONENT, tau and tau' are within 2e-13 relative of the ODE and
+# the first-integral residual within 2e-12 of its scale min(1, 1/a) (it grows as step^5)
 _PANEL_SCALE = 0.05
 _PANEL_STEP = 0.0075
+# tau' turns within w ~ a^{-1/2}, which the first panels stop resolving as a grows: at 8
+# exponents and 16 times a decade (t = 1e-3..1e6), the scaled residual first passes 2e-12
+# at a = 750 and is O(1) by a = 3e8; 50 is 11 times below the last exponent passed (560)
+_MAX_EXPONENT = 50.0
 # 3-point Gauss-Legendre (exact to degree 5): the integrand's singularities
 # lie within |w| <= sqrt(2), far from every panel relative to its width, so
 # this matches an 8-point rule to 2e-16
@@ -157,6 +161,9 @@ class TauEnvelope:
             raise EnvelopeError(f"sigma must be >= 0, got {sigma}")
         self.sigma = float(sigma)
         self.dim = int(dim)
+        if self.dim * self.sigma > _MAX_EXPONENT:
+            raise EnvelopeError(f"d sigma = {self.dim * self.sigma:g} is beyond the envelope "
+                                f"table's reach, d sigma <= {_MAX_EXPONENT:g}")
         self._table = _table(self.dim * self.sigma)
 
     def state(self, t: float) -> EnvelopeState:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GridError
 from .grid import Model, WaveField, gradient_norm_sq, l2_distance, mass, position_norm_sq
 from .propagators import evolve, free_flow
@@ -67,7 +65,7 @@ def extract_asymptotic(fields) -> AsymptoticState:
     profiles = [free_conjugate(f) for f in fields]
     residuals = [l2_distance(a, b) for a, b in zip(profiles, profiles[1:])]
     tail = residuals[-3:]
-    converged = all(b < a for a, b in zip(tail, tail[1:])) and len(tail) == 3
+    converged = all(b < a for a, b in zip(tail, tail[1:]))
     return AsymptoticState(state=profiles[-1].with_tags(time=0.0),
                            extraction_time=fields[-1].time,
                            residual=residuals[-1],
@@ -98,12 +96,10 @@ def scattering_map(u_minus: WaveField, sigma: float, dt: float,
     for _ in range(REFINE_SWEEPS):
         [half] = evolve(datum.with_tags(time=-T), dt, [-T / 2.0])
         profile = free_conjugate(half)
-        defect_vals = profile.values - base.values
-        defect = math.sqrt(float(base.grid.integrate(np.abs(defect_vals) ** 2).real))
-        defects.append(defect)
-        if defect < REFINE_TOL:
+        defects.append(l2_distance(profile, base))
+        if defects[-1] < REFINE_TOL:
             break
-        correction = free_flow(base.with_values(defect_vals), -T)
+        correction = free_flow(base.with_values(profile.values - base.values), -T)
         datum = datum.with_values(datum.values - correction.values, time=-T)
     trajectory = evolve(datum.with_tags(time=-T), dt,
                         [T * 2**j for j in range(n_cadences)])

@@ -190,3 +190,18 @@ def test_time_beyond_the_table_raises_envelope_error():
         env.taus(np.array([2.0, 1e200, 4e200]))
     u, _ = envelope._Table(a).at_times(np.array([1e90, 2.0]))
     assert [env.state(t).tau for t in (1e90, 2.0)] == (1.0 + u).tolist()
+
+
+def test_exponent_beyond_the_table_raises_envelope_error():
+    # tau' turns within w ~ a^{-1/2}, which the first panels stop resolving as a grows:
+    # at the largest accepted a = 50 the first-integral residual stays within 2e-12 of
+    # its scale 1/a at 16 times a decade from t = 1e-3 to 1e6, and the next exponent of
+    # the reach scan (8 a decade) raises, through both integrators and in 2-D
+    times = [10 ** (e / 16) for e in range(-48, 97)]
+    states = integrate_tau(25.0, 2, times)
+    assert max(abs(first_integral_residual(st)) for st in states) * 50.0 <= 2e-12
+    for read in (lambda: integrate_tau(10 ** (14 / 8), 1, times),
+                 lambda: integrate_tau(10 ** (14 / 8) / 2, 2, times),
+                 lambda: integrate_r(10 ** (14 / 8), [1.0])):
+        with pytest.raises(EnvelopeError, match="beyond the envelope table's reach"):
+            read()

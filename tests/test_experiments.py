@@ -446,8 +446,12 @@ _OVERFLOW = json.dumps({"name": "local-continuity", "sigmas": [500.0, 500.01, 50
     # rho^500 overflows in the first step: the march's finiteness check reports it,
     # with the step's time, and numpy prints no overflow or invalid-value warning
     (_OVERFLOW, (2,), "ERROR (BlowUpError): NaN/Inf after the step to t = 0.001"),
+    # the envelope table resolves d sigma <= 50 only; at 1e70 it read tau = 1 + t^2/4 and
+    # ode/linear-asymptote passed with |ratio - 1| = 1e37
+    ('{"name": "ode-suite", "sigmas": [1e70], "t0": 0.5, "n_times": 3}', (2,),
+     "ERROR (EnvelopeError): d sigma = 1e+70 is beyond the envelope table's reach"),
 ], ids=["log-limit-local-sigma-1e-8", "ode-suite-sigma-1e-20", "datum-too-wide",
-        "phase-overflow"])
+        "phase-overflow", "ode-suite-sigma-1e70"])
 def test_cli_edge_config_ends_without_traceback(tmp_path, capsys, text, codes, err):
     # verdicts and exit 0 or 1 with an empty stderr, or exit 2 with one ERROR line;
     # never a traceback or a warning
