@@ -89,7 +89,8 @@ for out in dt-bad gip-sweep n-sweep; do [ ! -e "$T/$out" ] || { echo "FAILED $ou
 # sigma = 1e-8 row is regularised as the sigma = 0 row is.  ode-tiny: 1 - tau^{-d sigma}
 # rounds to 0.  ode-huge: d sigma is past the envelope table's reach.  sc-stall: residuals
 # that do not decay are a failed verdict, which verify re-derives.  overflow: rho^500
-# overflows in the first step.  sc-two: four cadences judge convergence
+# overflows in the first step.  sc-two: four cadences judge convergence.  dt-tiny: 5e11
+# steps to the first checkpoint, past the bound on one evolve call
 config ode-t1 '{"name": "ode-suite", "sigmas": [0.1], "t0": 0.25, "n_times": 3}'
 config ode-unit '{"name": "ode-suite", "sigmas": [1.0], "t0": 1.0, "n_times": 3}'
 config lll-tiny '{"name": "log-limit-local", "sigmas": [1e-8, 0.02, 0.01]}'
@@ -98,6 +99,7 @@ config ode-huge '{"name": "ode-suite", "sigmas": [1e70], "t0": 0.5, "n_times": 3
 config sc-stall '{"name": "scattering-continuity", "sigmas": [1.5], "n": 128, "half_length": 20.0, "n_times": 4, "t0": 0.5}'
 config overflow '{"name": "local-continuity", "sigmas": [500.0, 500.01, 500.02, 500.04], "n": 256, "half_length": 5.0, "width": 0.1, "t0": 0.01, "n_times": 1}'
 config sc-two '{"name": "scattering-continuity", "sigmas": [1.5, 0.8], "n": 256, "n_times": 2}'
+config dt-tiny '{"name": "local-continuity", "sigmas": [0.8, 0.81, 0.82, 0.84], "dt": 1e-12, "t0": 0.5}'
 run_config() { nlslab run --config "$T/$1.json" --out "$T/$1"; }
 check 2 ode-t1 '^ERROR: invalid config' '' -- run_config ode-t1
 check 1 ode-unit '^FAIL  ' '' -- run_config ode-unit
@@ -109,4 +111,5 @@ check 1 sc-stall-verify "$ok" "$bad" -- nlslab verify --out "$T/sc-stall"
 check 2 overflow-split '^ERROR \(BlowUpError\)' '' -- run_config overflow
 check 2 overflow-one '^ERROR \(BlowUpError\)' '' -- taskset -c 0 nlslab run --config "$T/overflow.json" --out "$T/overflow-one"
 check 2 sc-two '^ERROR: invalid config' '' -- run_config sc-two
+check 2 dt-tiny '^ERROR \(GridError\): more than 1000000 steps' '' -- run_config dt-tiny
 echo "all end-to-end cases pass"

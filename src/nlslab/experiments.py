@@ -677,7 +677,7 @@ _EXPERIMENTS = {
         min_times=2, rules=(_LONG_RANGE,)),
     "log-limit-global": _Experiment(
         _run_log_limit_global, _analyze_log_limit_global,
-        dict(sigmas=(0.1, 0.05, 0.02, 0.01), n=512, half_length=30.0, dt=1e-3, t0=1.0,
+        dict(sigmas=(0.1, 0.05, 0.02, 0.01), n=512, half_length=30.0, dt=2e-3, t0=1.0,
              n_times=8), min_times=2, rules=(_DIM_1, _LONG_RANGE)),
     "ode-suite": _Experiment(
         _run_ode_suite, _analyze_ode_suite, dict(sigmas=(0.1, 0.01, 0.001), t0=1.0, n_times=21),

@@ -9,6 +9,7 @@ interval midpoint, which preserves second order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -22,6 +23,9 @@ from .errors import BlowUpError, EnvelopeError, GridError, NlsLabError
 from .grid import Model, WaveField, mass, nonlinear_phase, rotation
 
 MASS_DRIFT_TRIP = 1e-8
+# the steps one evolve call may take: 19x the longest default march (52,008 steps, in
+# gaussian-profile and sobolev-growth); a list of that many step sizes holds at most 32 MB
+MAX_STEPS = 10**6
 LENS_DT_CAP = 0.25
 # the kinetic tables a march holds at once: two of a 2 x 2048 stack
 _WINDOW_BYTES = 128 * 1024
@@ -259,8 +263,9 @@ def evolve(fields, dt: float, times):
     dt is a finite real > 0.  times is a non-empty, strictly increasing
     sequence of finite times after the start time.
     Returns the field at each of the times; for a sequence, a tuple of such
-    state lists.  At each of the times, BlowUpError trips if a field's mass
-    has drifted by more than MASS_DRIFT_TRIP of its own starting value.  Lens
+    state lists.  GridError, before the first step, if the times take more
+    than MAX_STEPS steps.  At each of the times, BlowUpError trips if a field's
+    mass has drifted by more than MASS_DRIFT_TRIP of its own starting value.  Lens
     models step on _lens_schedule_dt from dt and read their envelope at
     each step's midpoint; the other models step at dt.
 
@@ -287,10 +292,16 @@ def evolve(fields, dt: float, times):
                         f"got {targets}")
     mass0 = [mass(f) for f in fields]
     dt_of = (lambda t: _lens_schedule_dt(t, dt)) if first.model.lens else (lambda t: dt)
-    # the steps depend on the times alone; each segment ends where _march's sums end
-    segments, ends, t = [], [], first.time
+    # the steps depend on the times alone; each segment ends where _march's sums end.
+    # They are counted as they are listed, so no list grows past MAX_STEPS + 1
+    segments, ends, t, steps = [], [], first.time, 0
     for target in targets:
-        dts = list(_step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target))))
+        dts = list(itertools.islice(_step_sizes(t, target, dt_of, 1e-12 * max(1.0, abs(target))),
+                                    MAX_STEPS + 1 - steps))
+        steps += len(dts)
+        if steps > MAX_STEPS:
+            raise GridError(f"more than {MAX_STEPS} steps of dt = {dt!r} to t = {target:.6g}; "
+                            f"one evolve call takes at most {MAX_STEPS}")
         segments.append((t, dts))
         for step in dts:
             t += step

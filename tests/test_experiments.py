@@ -1,12 +1,16 @@
 """Experiment harness: configs, artifacts, determinism, verification, CLI."""
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import time
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,7 +22,7 @@ from nlslab import (ExperimentConfig, EXPERIMENT_NAMES, GridError, Model, RunRec
                     gaussian_state, l2_distance, make_grid, run, sigma_norm,
                     strauss_exponent, sweep, verify)
 from nlslab.cli import main as cli_main
-from nlslab.experiments import format_value, read_csv, write_csv
+from nlslab.experiments import _EXPERIMENTS, format_value, read_csv, write_csv
 
 
 def _tiny_ode_config():
@@ -595,6 +599,96 @@ def test_cli_verify_malformed_csv_exits_2(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+# edits of a stored ode-suite run: a record.json key set to a value of the wrong type or
+# dropped, an extra key, a config field changed or dropped, a csv_paths entry that is a
+# path; or one CSV emptied, cut to its header, given an extra column, a row dropped or
+# doubled, or one cell replaced, with or without its hash updated to match
+_ODD_VALUES = st.sampled_from([None, True, 0, -1.5, math.nan, math.inf, "", "x", [], ["x"],
+                               {}, {"x": 1}])
+_RECORD_KEYS = ("config", "config_hash", "code_version", "started", "finished", "status",
+                "stage", "error", "csv_paths", "csv_hashes", "verdicts", "extra")
+_CONFIG_KEYS = ("name", "sigmas", "dim", "n", "half_length", "dt", "width", "t0", "n_times",
+                "extra")
+_ODE_CSVS = ("envelope.csv", "radial.csv", "asymptotics.csv", "log_asymptote.csv",
+             "difference_bound.csv")
+_PATH_ENTRIES = ("", ".", "..", "/", "../record.json", "record.json", "absent.csv",
+                 "run/envelope.csv", "radial.csv")
+_CELLS = (b"nan", b"1e999", b"-1e999", b"", b"abc", b"\xff\xfe", b"\x00")
+_DROP = "<drop>"
+
+
+def _edit_row(lines, r, change):
+    """lines with data row r (modulo the rows) replaced by the lines change(its cells)."""
+    if len(lines) < 2:
+        return lines
+    k = 1 + r % (len(lines) - 1)
+    return lines[:k] + change(lines[k].split(b",")) + lines[k + 1:]
+
+
+_CSV_EDITS = {
+    "empty": lambda lines, r, c, cell: [],
+    "header-only": lambda lines, r, c, cell: lines[:1],
+    "extra-column": lambda lines, r, c, cell: [line + b",1" for line in lines],
+    "drop-row": lambda lines, r, c, cell: _edit_row(lines, r, lambda cells: []),
+    "double-row": lambda lines, r, c, cell: _edit_row(lines, r,
+                                                      lambda cells: [b",".join(cells)] * 2),
+    "cell": lambda lines, r, c, cell: _edit_row(lines, r, lambda cells: [b",".join(
+        cell if i == c % len(cells) else x for i, x in enumerate(cells))]),
+}
+
+_STORED_RUN_EDITS = st.one_of(
+    st.tuples(st.just("record"), st.sampled_from(_RECORD_KEYS),
+              st.one_of(st.just(_DROP), _ODD_VALUES)),
+    st.tuples(st.just("config"), st.sampled_from(_CONFIG_KEYS),
+              st.one_of(st.just(_DROP), _ODD_VALUES)),
+    st.tuples(st.just("csv_path"), st.sampled_from(_ODE_CSVS), st.sampled_from(_PATH_ENTRIES)),
+    st.tuples(st.just("csv"), st.sampled_from(_ODE_CSVS), st.sampled_from(sorted(_CSV_EDITS)),
+              st.integers(0, 63), st.integers(0, 7), st.sampled_from(_CELLS), st.booleans()))
+
+
+def _edit_stored_run(out, edit):
+    """Apply one _STORED_RUN_EDITS edit to the stored run in out; a record edit whose
+    dict an earlier edit replaced does nothing."""
+    record = json.loads((out / "record.json").read_text())
+    kind, key, *rest = edit
+    if kind == "csv":
+        change, r, c, cell, rehash = rest
+        data = b"\n".join(_CSV_EDITS[change]((out / key).read_bytes().splitlines(), r, c, cell))
+        (out / key).write_bytes(data)
+        target = record.get("csv_hashes") if rehash else None
+        value = hashlib.sha256(data).hexdigest()
+    else:
+        target = {"record": record, "config": record.get("config"),
+                  "csv_path": record.get("csv_paths")}[kind]
+        value = rest[0]
+    if isinstance(target, dict):
+        if value == _DROP:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    (out / "record.json").write_text(json.dumps(record))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(edits=st.lists(_STORED_RUN_EDITS, min_size=1, max_size=2))
+def test_cli_verify_of_an_edited_stored_run_ends_without_traceback(ode_runs, tmp_path_factory,
+                                                                   edits):
+    # verify reports a stored run it can read (exit 0 or 1, nothing on stderr) or one
+    # ERROR line (exit 2); never a traceback or a warning
+    out = tmp_path_factory.mktemp("stored") / "run"
+    shutil.copytree(ode_runs[0] / "a", out)
+    for edit in edits:
+        _edit_stored_run(out, edit)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error")
+        code = cli_main(["verify", "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2) and err.count("\n") == (code == 2), f"{edits}\n{err}"
+    assert "Traceback" not in err and "Warning" not in err, f"{edits}\n{err}"
+
+
 def test_cli_sweep_runs_on_past_a_run_that_cannot_write(tmp_path, capsys):
     # a directory where the first run writes its record: that run alone fails, with
     # one line, and the next run still runs and verifies; the sweep exits 2
@@ -713,3 +807,40 @@ def test_cli_sweep_non_integer_n_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "ERROR: invalid config: n must be an integer, got 128.9\n"
     assert "PASS" not in captured.out and not os.listdir(tmp_path)
+
+
+# ------------------------------------------------------------- defaults
+
+def test_log_limit_global_default_dt_spends_its_error_in_space():
+    # a default's time error is at most a tenth of its space error (ROADMAP item 3): on
+    # every headline number H, each sigma's sup_w1 and last weighted pseudo-energy,
+    # |H(dt) - H(dt/2)| <= |H(N) - H(2N)| / 10.  tau is read off the envelope, which no
+    # march moves.  At dt = 2e-3 the worst ratio is 3.3e-3; at 1.6e-2 it is 0.21
+    base = default_config("log-limit-global")
+
+    def headlines(cfg):
+        tables = _EXPERIMENTS[cfg.name].runner(cfg)
+        out = {("sup_w1", s): w for s, w in tables["sup_w1.csv"][1]}
+        # the rows run in time within each sigma, so the last one per sigma stays
+        out.update({("weighted", row[0]): row[8] for row in tables["pseudo_energy.csv"][1]})
+        return out
+
+    h, half_dt, double_n = (headlines(cfg) for cfg in (
+        base, replace(base, dt=base.dt / 2), replace(base, n=2 * base.n)))
+    assert len(h) == 2 * len(base.sigmas)
+    ratios = {key: abs(h[key] - half_dt[key]) / abs(h[key] - double_n[key]) for key in h}
+    assert max(ratios.values()) <= 0.1, ratios
+
+
+def test_cli_step_bound_exits_2_within_a_second(tmp_path, capsys):
+    # dt = 1e-12 to t = 0.25 is 2.5e11 steps, a list evolve would build before its first
+    # step; it stops counting past MAX_STEPS, and the run ends with one line
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_config_text(lambda d: d.update(dt=1e-12)))
+    start = time.perf_counter()
+    code = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and capsys.readouterr().err == (
+        "ERROR (GridError): more than 1000000 steps of dt = 1e-12 to t = 0.25; "
+        "one evolve call takes at most 1000000\n")
+    assert elapsed < 1.0, elapsed

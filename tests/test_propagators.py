@@ -261,6 +261,17 @@ def test_evolve_rejects_bad_dt(grid1d, dt):
         evolve(lens, dt, [0.01])
 
 
+def test_evolve_bounds_its_steps(grid1d, monkeypatch):
+    # the steps of one call count over all its segments: MAX_STEPS of them march, and
+    # one more is a GridError before the first step, on fixed and on lens schedules
+    monkeypatch.setattr(propagators, "MAX_STEPS", 10)
+    for phi in (gaussian_state(grid1d, 1.0, sigma=1.0),
+                gaussian_state(grid1d, 1.0, sigma=0.3, model=Model.RESCALED_LENS)):
+        assert evolve(phi, 1e-3, [0.004, 0.01])[-1].time == pytest.approx(0.01, abs=1e-12)
+        with pytest.raises(GridError, match=r"^more than 10 steps of dt = 0\.001 to t = 0\.011;"):
+            evolve(phi, 1e-3, [0.004, 0.011])
+
+
 def test_evolve_trims_final_step(grid1d):
     phi = gaussian_state(grid1d, 1.0, sigma=1.0)
     [out] = evolve(phi, 1e-3, [0.0105])
